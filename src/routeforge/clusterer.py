@@ -4,7 +4,9 @@ The searches exploit two monotone facts about density clusters with a
 min_samples of one: growing the radius only ever merges clusters, so the
 cluster count shrinks and the average cluster size grows.  Feasibility under
 either criterion is therefore a prefix of the radius axis and a plain integer
-binary search finds the largest workable radius.
+binary search finds the largest workable radius.  Every probe is a cut of one
+spanning tree built per search, and the recursion hands each oversized
+cluster the part of that tree inside it.
 """
 
 from __future__ import annotations
@@ -14,9 +16,16 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-import numpy as np
-
-from .dbscan import BRUTE_FORCE_LIMIT, ClusterLabels, DbscanParams, dbscan, pairwise_meters
+# pairwise_meters is not called here; it stays bound because
+# perfbench/tracer.py wraps this module's calls into the dbscan layer.
+from .dbscan import (
+    ClusterLabels,
+    DbscanParams,
+    SpanningTree,
+    dbscan,
+    pairwise_meters,  # noqa: F401
+    spanning_tree,
+)
 from .geo import GeoPoint, haversine_distance, meters_to_radians
 
 # Beyond this depth the decomposition is assumed to be stuck on pathological
@@ -118,25 +127,27 @@ def binary_search_clusters(
     config: ClusterConfig,
     feasibility: Feasibility = Feasibility.MAX_SIZE_CAP,
     *,
-    pairwise: Optional[np.ndarray] = None,
+    tree: Optional[SpanningTree] = None,
     depth: int = 0,
 ) -> tuple[ClusterSet, int]:
     """Find the integer radius with the best feasible clustering.
 
     Probes the midpoint radius, grows the range on feasible probes and
     shrinks it otherwise, keeping the feasible probe with the largest average
-    cluster size.  Raises NoSolutionFoundError when no probe is feasible.
+    cluster size.  Every probe cuts the same spanning tree, built here unless
+    the caller passes one over these points.  Raises NoSolutionFoundError
+    when no probe is feasible.
     """
     n = len(points)
     min_no = _resolved_min_clusters(config, n)
-    if pairwise is None and 0 < n <= BRUTE_FORCE_LIMIT:
-        pairwise = pairwise_meters(points)
+    if tree is None and n > 0:
+        tree = spanning_tree(points)
 
     lo, hi = config.min_radius, config.max_radius
     best: Optional[tuple[float, ClusterLabels, int]] = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        labels = dbscan(points, DbscanParams(meters_to_radians(mid)), pairwise=pairwise)
+        labels = dbscan(points, DbscanParams(meters_to_radians(mid)), tree=tree)
         count = labels.n_clusters
         if feasibility is Feasibility.MAX_SIZE_CAP:
             feasible = max(len(c) for c in labels.clusters()) <= config.max_cluster_size
@@ -166,7 +177,7 @@ def _recurse(
     points: Sequence[GeoPoint],
     indices: list[int],
     config: ClusterConfig,
-    pairwise: Optional[np.ndarray],
+    tree: SpanningTree,
     depth: int,
     out: list[Cluster],
 ) -> None:
@@ -175,15 +186,11 @@ def _recurse(
             f"decomposition exceeded depth {RECURSION_LIMIT}; input looks degenerate"
         )
     subset = [points[i] for i in indices]
-    sub_pairwise = pairwise
-    if sub_pairwise is None and len(subset) <= BRUTE_FORCE_LIMIT:
-        sub_pairwise = pairwise_meters(subset)
-
     cluster_set, best_radius = binary_search_clusters(
         subset,
         config,
         Feasibility.MIN_CLUSTER_COUNT,
-        pairwise=sub_pairwise,
+        tree=tree,
         depth=depth,
     )
     for cluster in cluster_set.clusters:
@@ -198,11 +205,7 @@ def _recurse(
             max_radius=best_radius - 1,
             min_no_clusters=math.ceil(cluster.size / config.max_cluster_size),
         )
-        child_pairwise = None
-        if sub_pairwise is not None:
-            pos = np.array(cluster.members, dtype=np.int64)
-            child_pairwise = sub_pairwise[np.ix_(pos, pos)]
-        _recurse(points, original, child_config, child_pairwise, depth + 1, out)
+        _recurse(points, original, child_config, tree.subtree(cluster.members), depth + 1, out)
 
 
 def _merge_small_clusters(
@@ -255,7 +258,7 @@ def recursive_dbscan(points: Sequence[GeoPoint], config: ClusterConfig) -> Clust
     """
     n = len(points)
     found: list[Cluster] = []
-    _recurse(points, list(range(n)), config, None, 0, found)
+    _recurse(points, list(range(n)), config, spanning_tree(points), 0, found)
     found = _merge_small_clusters(points, found, config)
     found.sort(key=lambda c: c.members[0])
     return ClusterSet(tuple(found))

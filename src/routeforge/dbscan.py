@@ -3,7 +3,12 @@
 The clustering radius is angular (radians on the unit sphere) so callers
 convert metric radii through geo.meters_to_radians.  With min_samples = 1 the
 result is exactly the connected components of the epsilon-neighborhood graph,
-which is the property the radius search above this module relies on.
+which is the property the radius search above this module relies on.  Those
+components are the cuts at epsilon of one minimum spanning tree (Gower and
+Ross, 1969), so a single SpanningTree answers every radius over the same
+points, and the part of it inside one cluster answers every radius over that
+cluster.  The seeded expansion with a dense matrix or a grid index serves
+min_samples > 1 and callers that pass their own pairwise matrix.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ import numpy as np
 
 from .geo import METERS_PER_RADIAN, GeoPoint
 
-# Above this point count the O(n^2) neighborhood scan gets replaced by a grid
-# index whose cell edge equals the search radius.
+# With min_samples > 1, above this point count the O(n^2) neighborhood scan
+# gets replaced by a grid index whose cell edge equals the search radius.  The
+# min_samples = 1 case cuts a spanning tree at every size instead.
 BRUTE_FORCE_LIMIT = 2000
 
 _UNSEEN = -2
@@ -76,6 +82,95 @@ def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
     h = np.sin(dlat / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2
     np.clip(h, 0.0, 1.0, out=h)
     return 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(h))
+
+
+@dataclass(frozen=True, eq=False)
+class SpanningTree:
+    """Minimum spanning tree over n points, edges ascending by weight in meters.
+
+    Edge k joins heads[k] and tails[k] at weights[k].  The weights are the
+    exact pairwise_meters values, so a cut agrees with the dense path at
+    every radius, ties included.
+    """
+
+    n: int
+    heads: np.ndarray
+    tails: np.ndarray
+    weights: np.ndarray
+
+    def cut(self, eps_m: float) -> ClusterLabels:
+        """Components joined by the edges of weight at most eps_m, labeled so
+        that the component holding the lowest untouched index gets the next
+        label."""
+        k = int(np.searchsorted(self.weights, eps_m, side="right"))
+        root = list(range(self.n))
+
+        def find(x: int) -> int:
+            while root[x] != x:
+                root[x] = root[root[x]]
+                x = root[x]
+            return x
+
+        for a, b in zip(self.heads[:k].tolist(), self.tails[:k].tolist()):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                root[max(ra, rb)] = min(ra, rb)
+        label_of: dict[int, int] = {}
+        labels = (label_of.setdefault(find(i), len(label_of)) for i in range(self.n))
+        return ClusterLabels(tuple(labels))
+
+    def subtree(self, members: Sequence[int]) -> SpanningTree:
+        """The edges inside one cluster of some cut, re-indexed so that
+        members[k] becomes point k.  That subtree is the cluster's own
+        minimum spanning tree."""
+        pos = np.full(self.n, -1, dtype=np.int64)
+        pos[np.asarray(members, dtype=np.int64)] = np.arange(len(members))
+        heads, tails = pos[self.heads], pos[self.tails]
+        inside = (heads >= 0) & (tails >= 0)
+        if int(inside.sum()) != len(members) - 1:
+            raise ValueError("members are not one connected piece of the tree")
+        return SpanningTree(len(members), heads[inside], tails[inside], self.weights[inside])
+
+
+def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
+    """Prim's algorithm over exact haversine weights.
+
+    Each step computes one distance row, from the point just added to the
+    points still outside the tree, written term for term like
+    pairwise_meters so the weights match it bit for bit.  Memory stays O(n).
+    """
+    n = len(points)
+    if n == 0:
+        raise EmptyInputError("cannot build a spanning tree over an empty point set")
+    lat, lon = _radian_arrays(points)
+    cos_lat = np.cos(lat)
+    # The points outside the tree sit in the first m slots of the out_*,
+    # best and via arrays: the one that joins swaps places with the last.
+    out_idx = np.arange(1, n, dtype=np.int64)
+    out_lat, out_lon, out_cos = lat[1:].copy(), lon[1:].copy(), cos_lat[1:].copy()
+    best = np.full(n - 1, np.inf)
+    via = np.zeros(n - 1, dtype=np.int64)
+    heads = np.empty(n - 1, dtype=np.int64)
+    tails = np.empty(n - 1, dtype=np.int64)
+    weights = np.empty(n - 1)
+    u = 0
+    for step, m in enumerate(range(n - 1, 0, -1)):
+        dlat = lat[u] - out_lat[:m]
+        dlon = lon[u] - out_lon[:m]
+        h = np.sin(dlat / 2.0) ** 2 + cos_lat[u] * out_cos[:m] * np.sin(dlon / 2.0) ** 2
+        np.clip(h, 0.0, 1.0, out=h)
+        row = 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(h))
+        closer = row < best[:m]
+        best[:m][closer] = row[closer]
+        via[:m][closer] = u
+        j = int(np.argmin(best[:m]))
+        v = int(out_idx[j])
+        heads[step], tails[step], weights[step] = via[j], v, best[j]
+        u = v
+        for arr in (out_idx, out_lat, out_lon, out_cos, best, via):
+            arr[j], arr[m - 1] = arr[m - 1], arr[j]
+    order = np.argsort(weights, kind="stable")
+    return SpanningTree(n, heads[order], tails[order], weights[order])
 
 
 def region_query(points: Sequence[GeoPoint], center_index: int, epsilon: float) -> list[int]:
@@ -175,19 +270,29 @@ def dbscan(
     params: DbscanParams,
     *,
     pairwise: Optional[np.ndarray] = None,
+    tree: Optional[SpanningTree] = None,
 ) -> ClusterLabels:
     """Label every point with its density cluster.
 
     Seeds are scanned in ascending index order and expansion is breadth-first
-    over ascending neighbor indices, so labels are deterministic.  A
-    precomputed pairwise matrix can be passed to amortize repeated runs over
-    the same points at different radii.
+    over ascending neighbor indices, so labels are deterministic.  With
+    min_samples = 1 and no pairwise matrix the labels are a cut of the
+    spanning tree; pass one from spanning_tree(points) to amortize repeated
+    runs over the same points at different radii.  A pairwise matrix selects
+    the dense path instead.
     """
     n = len(points)
     if n == 0:
         raise EmptyInputError("cannot cluster an empty point set")
 
     eps_m = params.epsilon * METERS_PER_RADIAN
+    if params.min_samples == 1 and pairwise is None:
+        if tree is None:
+            tree = spanning_tree(points)
+        elif tree.n != n:
+            raise ValueError(f"spanning tree covers {tree.n} points, got {n}")
+        return tree.cut(eps_m)
+
     if pairwise is None and n <= BRUTE_FORCE_LIMIT:
         pairwise = pairwise_meters(points)
 

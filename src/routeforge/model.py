@@ -44,7 +44,10 @@ class InfeasibleSequenceError(Exception):
 
 @dataclass(frozen=True)
 class TimeWindow:
-    """Half-open service window [earliest, latest] in whole seconds."""
+    """Closed service window [earliest, latest] in whole seconds.
+
+    Both ends are inclusive: only a service start after latest is a violation.
+    """
 
     earliest: int
     latest: int

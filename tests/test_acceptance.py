@@ -167,7 +167,7 @@ def test_clustering_matches_connected_components():
 
 def test_recursive_clusters_respect_cap():
     config = ClusterConfig()
-    for n in (1_000, 2_000, 3_000):
+    for n in (1_000, 2_000, 3_000, 5_000):
         for rep in range(3):
             instance = generate_instance(
                 GeneratorConfig(n_waypoints=n, seed=_cell_seed(BASE_SEED, n, rep))

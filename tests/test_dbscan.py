@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from routeforge.clusterer import ClusterConfig, Feasibility, binary_search_clusters
 from routeforge.dbscan import (
     NOISE,
     ClusterLabels,
@@ -11,6 +14,7 @@ from routeforge.dbscan import (
     dbscan,
     pairwise_meters,
     region_query,
+    spanning_tree,
 )
 from routeforge.geo import METERS_PER_RADIAN, GeoPoint, meters_to_radians
 
@@ -182,14 +186,15 @@ def test_smaller_epsilon_refines_partition():
 
 
 def test_grid_index_agrees_with_dense_path():
-    # above the brute-force limit the spatial index takes over; feeding the
+    # above the brute-force limit the spatial index takes over for
+    # min_samples > 1 (min_samples = 1 cuts the spanning tree); feeding the
     # same points with a precomputed matrix keeps the dense path in play
     rng = np.random.default_rng(31)
     points = random_points(rng, 2_300, box_meters=20_000.0)
-    params = DbscanParams(epsilon=meters_to_radians(700))
-    via_grid = dbscan(points, params)
-    via_dense = dbscan(points, params, pairwise=pairwise_meters(points))
-    assert via_grid.labels == via_dense.labels
+    dense = pairwise_meters(points)
+    for radius, min_samples in ((700, 1), (250, 2)):
+        params = DbscanParams(epsilon=meters_to_radians(radius), min_samples=min_samples)
+        assert dbscan(points, params).labels == dbscan(points, params, pairwise=dense).labels
 
 
 def test_min_samples_two_marks_isolated_points_noise():
@@ -211,3 +216,80 @@ def test_identical_points_single_cluster():
     points = [east(0)] * 25
     labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(1)))
     assert labels.n_clusters == 1
+
+
+# --- spanning tree cuts against the dense reference ---
+
+
+def test_antimeridian_cluster_is_not_split():
+    # 2,100 points (above BRUTE_FORCE_LIMIT) within a 70 m disc centred on
+    # lon 180, so half of them carry lon near -180
+    rng = np.random.default_rng(41)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 2_100)
+    dist = 70.0 * np.sqrt(rng.uniform(0.0, 1.0, 2_100))
+    lat0 = 10.0
+    lat = lat0 + dist * np.sin(angle) / EQUATOR_DEGREE_M
+    lon = 180.0 + dist * np.cos(angle) / (EQUATOR_DEGREE_M * math.cos(math.radians(lat0)))
+    lon = np.where(lon > 180.0, lon - 360.0, lon)
+    points = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
+    assert min(lon) < -179.99 and max(lon) > 179.99
+
+    params = DbscanParams(epsilon=meters_to_radians(150))
+    labels = dbscan(points, params)
+    assert labels.labels == dbscan(points, params, pairwise=pairwise_meters(points)).labels
+    assert labels.n_clusters == 1
+
+    config = ClusterConfig(max_cluster_size=2_100)
+    cluster_set, _ = binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
+    assert cluster_set.sizes() == [2_100]
+
+
+@st.composite
+def point_sets(draw):
+    """Up to 300 points in a box of 10 m to 5 km, some of them coincident,
+    anywhere on the globe including across lon 180."""
+    n = draw(st.integers(1, 300))
+    seed = draw(st.integers(0, 2**32 - 1))
+    box = draw(st.sampled_from([10.0, 300.0, 5_000.0]))
+    lat0 = draw(st.floats(-80.0, 80.0))
+    lon0 = draw(st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 180.0])))
+    repeat = draw(st.sampled_from([0.0, 0.2, 0.9]))
+    rng = np.random.default_rng(seed)
+    lat = lat0 + rng.uniform(0.0, box, n) / EQUATOR_DEGREE_M
+    lon = lon0 + rng.uniform(0.0, box, n) / (EQUATOR_DEGREE_M * math.cos(math.radians(lat0)))
+    lon = (lon + 180.0) % 360.0 - 180.0
+    points = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
+    for i in range(1, n):
+        if rng.uniform() < repeat:
+            points[i] = points[int(rng.integers(0, i))]
+    return points, box
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), drawn=point_sets())
+def test_tree_cut_equals_dense_labels(data, drawn):
+    points, box = drawn
+    dense = pairwise_meters(points)
+    tree = spanning_tree(points)
+    # the tree's weights are the dense kernel's values to the last bit
+    assert np.array_equal(tree.weights, dense[tree.heads, tree.tails])
+    n = len(points)
+    # a free radius, and one that sits on a pairwise distance
+    i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    for radius in (data.draw(st.floats(0.01, 2.0 * box)), float(dense[i, j])):
+        if radius <= 0.0:
+            continue
+        params = DbscanParams(epsilon=meters_to_radians(radius))
+        assert dbscan(points, params).labels == dbscan(points, params, pairwise=dense).labels
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), drawn=point_sets())
+def test_subtree_cut_equals_tree_of_the_cluster(data, drawn):
+    points, box = drawn
+    coarse = data.draw(st.floats(0.01, 2.0 * box))
+    fine = data.draw(st.floats(0.01, coarse))
+    tree = spanning_tree(points)
+    for members in tree.cut(coarse).clusters():
+        own = spanning_tree([points[i] for i in members])
+        assert tree.subtree(members).cut(fine) == own.cut(fine)
