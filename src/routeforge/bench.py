@@ -34,7 +34,7 @@ from .model import (
     Waypoint,
     plan_to_dict,
 )
-from .pipeline import Strategy, run_strategy
+from .pipeline import Strategy, _worker_cap, run_strategy
 from .solver import SolverParams
 
 SPEED_MPS = 10.0
@@ -229,9 +229,12 @@ def _run_budgeted(instance, strategy, cluster_config, params, budget: BudgetConf
 
     ctx = mp.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
+    # Daemonic, so the solve starts no pool: the limits fence one process,
+    # and terminating it leaves nothing behind.
     proc = ctx.Process(
         target=_budget_child,
         args=(child_conn, instance, strategy, cluster_config, params, budget.memory_mb),
+        daemon=True,
     )
     started = time.perf_counter()
     proc.start()
@@ -308,14 +311,9 @@ def _run_cell(
     return records
 
 
-def _worker_cap(requested: int) -> int:
-    cap = os.environ.get("ROUTE_FORGE_THREADS")
-    if cap:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
+def _solve_in_process() -> None:
+    """Bench workers already fill the CPUs, so their solves start no pool."""
+    os.environ["ROUTE_FORGE_THREADS"] = "1"
 
 
 def run_benchmark(
@@ -357,7 +355,7 @@ def run_benchmark(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_solve_in_process) as pool:
             batches = list(pool.map(run_one, *zip(*cells)))
     records = [record for batch in batches for record in batch]
     order = {s: i for i, s in enumerate(strategies)}

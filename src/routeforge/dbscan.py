@@ -135,9 +135,12 @@ class SpanningTree:
 def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
     """Prim's algorithm over exact haversine weights.
 
-    Each step computes one distance row, from the point just added to the
-    points still outside the tree, written term for term like
-    pairwise_meters so the weights match it bit for bit.  Memory stays O(n).
+    Each step computes one row of the haversine term h, from the point just
+    added to the points still outside the tree, written term for term like
+    pairwise_meters.  Prim compares h itself: meters are a monotone function
+    of h, so the tree is a minimum spanning tree in meters too.  Only the
+    n - 1 chosen h become meters, with the pairwise_meters expression, so the
+    weights match it bit for bit.  Memory stays O(n).
     """
     n = len(points)
     if n == 0:
@@ -159,9 +162,8 @@ def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
         dlon = lon[u] - out_lon[:m]
         h = np.sin(dlat / 2.0) ** 2 + cos_lat[u] * out_cos[:m] * np.sin(dlon / 2.0) ** 2
         np.clip(h, 0.0, 1.0, out=h)
-        row = 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(h))
-        closer = row < best[:m]
-        best[:m][closer] = row[closer]
+        closer = h < best[:m]
+        best[:m][closer] = h[closer]
         via[:m][closer] = u
         j = int(np.argmin(best[:m]))
         v = int(out_idx[j])
@@ -169,6 +171,7 @@ def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
         u = v
         for arr in (out_idx, out_lat, out_lon, out_cos, best, via):
             arr[j], arr[m - 1] = arr[m - 1], arr[j]
+    weights = 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(weights))
     order = np.argsort(weights, kind="stable")
     return SpanningTree(n, heads[order], tails[order], weights[order])
 

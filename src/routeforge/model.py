@@ -85,7 +85,6 @@ class TravelModel:
     """Constant-speed travel over great-circle distances."""
 
     speed_mps: float
-    open_routes: bool = True
 
     def seconds(self, meters: float) -> float:
         return meters / self.speed_mps
@@ -139,8 +138,6 @@ class ProblemInstance:
                 raise InvalidInstanceError(f"waypoint {w.id} has negative service duration")
         if self.travel.speed_mps <= 0 or not math.isfinite(self.travel.speed_mps):
             raise InvalidInstanceError("travel speed must be positive and finite")
-        if not self.travel.open_routes:
-            raise InvalidInstanceError("only open routes are supported")
 
     @property
     def n_waypoints(self) -> int:

@@ -4,14 +4,28 @@ A clustered strategy carves the waypoint set into groups, then solves one
 sub-instance per group against the shrinking pool of still-free vehicles.
 Larger clusters go first so they see the widest vehicle choice; the order is
 fully deterministic.
+
+The sub-solves run ahead of that order on every usable CPU, each against the
+whole fleet.  A sub-solve sees the fleet only through the capacities of the
+vehicles it opens: the greedy construction opens vehicles in id order and
+stops at the one that takes the last waypoint, and the local search only
+moves stops between the routes it was given.  So a pre-solved plan that used
+vehicles 1..k is exactly the plan the in-order solve would find whenever the
+first k free vehicles have the same capacities, in order.  Any other cluster
+is solved again in order against the free pool, so plans and errors are the
+same on any number of CPUs, unless a sub-solve stops at its wall-clock
+backstop.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional, Union
 
 from .clusterer import (
     ClusterConfig,
@@ -72,6 +86,53 @@ def _sub_instance(
     return sub, wp_back, veh_back
 
 
+def _worker_cap(requested: int) -> int:
+    """Cap a worker count by the ROUTE_FORGE_THREADS environment variable."""
+    cap = os.environ.get("ROUTE_FORGE_THREADS")
+    if cap:
+        try:
+            requested = min(requested, max(1, int(cap)))
+        except ValueError:
+            pass
+    return max(1, requested)
+
+
+def _usable_cpus() -> int:
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity, and no safe fork (macOS, Windows)
+        return 1
+    return _worker_cap(cpus)
+
+
+# A sub-solve's plan and busy vehicles, or why it was infeasible.
+_SubSolve = Union[tuple[RoutePlan, frozenset[int]], InfeasibleError]
+
+# What a pool worker pre-solves: the instance, the cluster members in solve
+# order and the solver settings.  Only pool workers set it.  The fork start
+# method hands these to the workers without pickling or re-importing, which
+# spawn would need per worker; the package itself starts no threads that a
+# fork could catch mid-update.
+_presolve_job: Optional[tuple[ProblemInstance, list[list[int]], SolverParams]] = None
+
+
+def _presolve_init(
+    instance: ProblemInstance, members: list[list[int]], params: SolverParams
+) -> None:
+    global _presolve_job
+    _presolve_job = (instance, members, params)
+
+
+def _presolve(index: int) -> _SubSolve:
+    """Solve the index-th cluster in solve order against the whole fleet."""
+    instance, members, params = _presolve_job
+    sub, _, _ = _sub_instance(instance, members[index], [v.id for v in instance.vehicles])
+    try:
+        return solve_cvrptw(sub, params)
+    except InfeasibleError as exc:
+        return exc
+
+
 def optimise_clusters(
     clusters: ClusterSet,
     instance: ProblemInstance,
@@ -81,23 +142,66 @@ def optimise_clusters(
 
     Vehicles used by one cluster are unavailable to the rest.  Raises
     NoSolutionFoundError if the pool runs dry or any sub-solve is infeasible.
+    With more than one usable CPU and more than one cluster, the clusters are
+    pre-solved in a process pool; see the module docstring for why the plan
+    does not depend on it.
     """
     params = params or SolverParams()
+    members = [
+        list(clusters.clusters[i].members)
+        for i in cluster_order(clusters, instance.depot.location)
+    ]
+    workers = min(_usable_cpus(), len(members))
+    # A daemonic process (a multiprocessing.Pool worker) may not start children.
+    if workers <= 1 or multiprocessing.current_process().daemon:
+        return _assign_vehicles(instance, members, params, itertools.repeat(None))
+    pool = multiprocessing.get_context("fork").Pool(
+        workers, _presolve_init, (instance, members, params)
+    )
+    with pool:
+        presolved = pool.imap(_presolve, range(len(members)))
+        return _assign_vehicles(instance, members, params, presolved)
+
+
+def _assign_vehicles(
+    instance: ProblemInstance,
+    members: list[list[int]],
+    params: SolverParams,
+    presolved: Iterator[Optional[_SubSolve]],
+) -> RoutePlan:
+    """The in-order loop: the only place that hands out vehicles.
+
+    `presolved` yields, per cluster, its outcome against the whole fleet or
+    None.  An outcome is kept when the vehicles it depends on (1..max busy,
+    or the whole fleet for an infeasible solve) are matched in capacity by
+    the first free vehicles; otherwise the cluster is solved here.
+    """
+    fleet_capacities = [v.capacity for v in instance.vehicles]
     free = [v.id for v in instance.vehicles]
     routes: list[Route] = []
-    for cluster_index in cluster_order(clusters, instance.depot.location):
-        cluster = clusters.clusters[cluster_index]
+    for cluster_members in members:
+        size = len(cluster_members)
         if not free:
+            raise NoSolutionFoundError(f"vehicle pool exhausted before cluster of size {size}")
+        outcome = next(presolved)
+        if outcome is not None:
+            if isinstance(outcome, InfeasibleError):
+                used = len(fleet_capacities)
+            else:
+                used = max(outcome[1], default=0)
+            if [instance.vehicle(v).capacity for v in free[:used]] != fleet_capacities[:used]:
+                outcome = None
+        sub, wp_back, veh_back = _sub_instance(instance, cluster_members, free)
+        if outcome is None:
+            try:
+                outcome = solve_cvrptw(sub, params)
+            except InfeasibleError as exc:
+                outcome = exc
+        if isinstance(outcome, InfeasibleError):
             raise NoSolutionFoundError(
-                f"vehicle pool exhausted before cluster of size {cluster.size}"
-            )
-        sub, wp_back, veh_back = _sub_instance(instance, list(cluster.members), free)
-        try:
-            sub_plan, busy = solve_cvrptw(sub, params)
-        except InfeasibleError as exc:
-            raise NoSolutionFoundError(
-                f"sub-solve infeasible for cluster of size {cluster.size}: {exc}"
-            ) from exc
+                f"sub-solve infeasible for cluster of size {size}: {outcome}"
+            ) from outcome
+        sub_plan, busy = outcome
         for sub_route in sub_plan.routes:
             stops = tuple(
                 StopVisit(wp_back[s.waypoint_id], s.arrival_time, s.departure_time)

@@ -14,7 +14,6 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,14 +54,13 @@ class InfeasibleError(Exception):
             preview += ", ..."
         super().__init__(f"{len(self.unassigned)} waypoints cannot be assigned: [{preview}]")
 
-
-class FirstSolution(str, Enum):
-    PATH_CHEAPEST_ARC = "PATH_CHEAPEST_ARC"
+    def __reduce__(self):
+        # args holds the message, so the default would rebuild from it.
+        return InfeasibleError, (self.unassigned,)
 
 
 @dataclass(frozen=True)
 class SolverParams:
-    first_solution: FirstSolution = FirstSolution.PATH_CHEAPEST_ARC
     optimization_step: float = 1.0
     solution_limit: int = 9_223_372_036_854_775_807
     time_limit_ms: int = 5000

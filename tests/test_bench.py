@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import signal
+import time
 
 import jsonschema
 import pytest
@@ -23,6 +25,7 @@ from routeforge.bench import (
     run_benchmark,
     summarise,
 )
+from routeforge import pipeline
 from routeforge.geo import haversine_distance
 from routeforge.model import (
     instance_to_dict,
@@ -30,7 +33,7 @@ from routeforge.model import (
     validate_solution,
 )
 from routeforge.pipeline import Strategy, run_strategy
-from routeforge.solver import SolverParams
+from routeforge.solver import SolverParams, solve_cvrptw
 
 FAST = SolverParams(time_limit_ms=100)
 
@@ -233,6 +236,41 @@ def test_wall_budget_breach_is_a_crash_record():
     assert records[0].distance_m is None
 
 
+def test_wall_budget_breach_leaves_no_process_behind(monkeypatch, tmp_path):
+    # Every sub-solve stalls, so the wall budget runs out mid-solve.  Each
+    # process that reached a sub-solve notes its pid first.
+    pid_file = tmp_path / "pids"
+
+    def stalled(sub, params):
+        with open(pid_file, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        time.sleep(60)
+
+    monkeypatch.setattr(pipeline, "solve_cvrptw", stalled)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
+    started = time.monotonic()
+    records = run_benchmark(
+        sizes=[1_200],
+        repetitions=1,
+        strategies=[Strategy.DBSCAN],
+        budget=BudgetConfig(memory_mb=4_096, wall_s=2.0),
+    )
+    elapsed = time.monotonic() - started
+    pids = [int(line) for line in pid_file.read_text().split()]
+    alive = []
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+            alive.append(pid)
+        except ProcessLookupError:
+            pass
+    assert [r.status for r in records] == [RunStatus.CRASHED_BUDGET]
+    assert pids
+    assert alive == []
+    assert elapsed < 30
+
+
 def test_memory_budget_breach_is_a_crash_record():
     # the 2,001-node distance matrix alone wants far more than the cap, so
     # the child cannot finish inside recycled heap space
@@ -268,6 +306,26 @@ def test_parallel_workers_match_sequential(tmp_path):
     parallel = run_benchmark(sizes=[30, 40], repetitions=1, params=FAST, workers=2)
     strip = lambda rs: [(r.n_waypoints, r.repetition_index, r.strategy, r.status, r.distance_m, r.busy_vehicles) for r in rs]
     assert strip(sequential) == strip(parallel)
+
+
+def test_parallel_workers_solve_in_process(monkeypatch, tmp_path):
+    # Every sub-solve notes the pid of its process's parent: a bench worker
+    # (child of this process) that solved in process, or a pool it started.
+    pid_file = tmp_path / "parents"
+
+    def noted(sub, params):
+        with open(pid_file, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getppid()}\n")
+        return solve_cvrptw(sub, params)
+
+    monkeypatch.setattr(pipeline, "solve_cvrptw", noted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
+    records = run_benchmark(
+        sizes=[1_200], repetitions=2, strategies=[Strategy.DBSCAN], params=FAST, workers=2
+    )
+    assert [r.status for r in records] == [RunStatus.OK] * 2
+    assert set(pid_file.read_text().split()) == {str(os.getpid())}
 
 
 def test_worker_cap_env(monkeypatch):

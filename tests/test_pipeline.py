@@ -1,8 +1,13 @@
+import json
 import math
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from routeforge import pipeline
 from routeforge.bench import GeneratorConfig, generate_instance
 from routeforge.clusterer import Cluster, ClusterConfig, ClusterSet, NoSolutionFoundError
 from routeforge.geo import GeoPoint
@@ -167,3 +172,108 @@ def test_recursive_strategy_decomposes_large_instance():
     assert validate_solution(result.plan, instance) == []
     assert result.cluster_count >= 4
     assert result.peak_cluster_size <= ClusterConfig().max_cluster_size
+
+
+# --- pooled pre-solves against the in-order solve ---
+
+
+def solve_pooled_and_serial(monkeypatch, solve):
+    """Outcome of solve() and its in-process sub-solve count with a
+    two-worker pool, then with one usable CPU.  An outcome is the plan JSON
+    or the error message."""
+    solves = []
+
+    def counted(sub, params):
+        solves.append(sub.n_waypoints)
+        return solve_cvrptw(sub, params)
+
+    monkeypatch.setattr(pipeline, "solve_cvrptw", counted)
+    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
+    runs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+        solves.clear()
+        try:
+            outcome = json.dumps(plan_to_dict(solve()))
+        except NoSolutionFoundError as exc:
+            outcome = f"NoSolutionFoundError: {exc}"
+        runs.append((outcome, len(solves)))
+    return runs
+
+
+@pytest.mark.parametrize("strategy", [Strategy.DBSCAN, Strategy.RECURSIVE_DBSCAN])
+def test_pooled_plan_equals_serial_plan(monkeypatch, strategy):
+    instance = generate_instance(GeneratorConfig(n_waypoints=1_200, seed=4))
+    (pooled, resolved), (serial, serial_solves) = solve_pooled_and_serial(
+        monkeypatch, lambda: run_strategy(instance, strategy).plan
+    )
+    assert pooled == serial
+    # A uniform fleet with vehicles to spare: every pre-solved plan is kept.
+    assert serial_solves > 1
+    assert resolved == 0
+
+
+def test_pooled_plan_equals_serial_plan_on_mixed_fleet(monkeypatch):
+    instance = generate_instance(GeneratorConfig(n_waypoints=1_200, seed=4))
+    capacities = (30, 24, 36)
+    vehicles = tuple(replace(v, capacity=capacities[v.id % 3]) for v in instance.vehicles)
+    instance = replace(instance, vehicles=vehicles)
+    (pooled, resolved), (serial, serial_solves) = solve_pooled_and_serial(
+        monkeypatch, lambda: run_strategy(instance, Strategy.RECURSIVE_DBSCAN).plan
+    )
+    assert pooled == serial
+    # The free vehicles of a later cluster start at another place in the
+    # capacity cycle, so some pre-solves are thrown away and solved again.
+    assert 0 < resolved < serial_solves
+
+
+@pytest.mark.parametrize("strategy", [Strategy.DBSCAN, Strategy.RECURSIVE_DBSCAN])
+def test_pool_exhaustion_error_equals_serial_error(monkeypatch, strategy):
+    instance = generate_instance(GeneratorConfig(n_waypoints=1_000, seed=0, fleet_size=84))
+    (pooled, _), (serial, _) = solve_pooled_and_serial(
+        monkeypatch, lambda: run_strategy(instance, strategy).plan
+    )
+    assert serial.startswith("NoSolutionFoundError: sub-solve infeasible")
+    assert pooled == serial
+
+
+def test_infeasible_presolve_of_first_cluster_gives_the_serial_error(monkeypatch):
+    rng = np.random.default_rng(8)
+    instance = grid_instance(rng, 20, 1, 10, centers=[(0.0, 0.0), (0.0, 0.05)])
+    # 15 units of demand go first against one vehicle of capacity 10.  The
+    # free pool is still the whole fleet, so the pre-solve's error is kept.
+    clusters = split_clusters(instance, 15)
+    (pooled, resolved), (serial, _) = solve_pooled_and_serial(
+        monkeypatch, lambda: optimise_clusters(clusters, instance)
+    )
+    assert serial.startswith(
+        "NoSolutionFoundError: sub-solve infeasible for cluster of size 15: 5 waypoints"
+    )
+    assert pooled == serial
+    assert resolved == 0
+
+
+def two_cluster_plan(seed):
+    instance = grid_instance(np.random.default_rng(seed), 20, 4, 10, centers=[(0.0, 0.0), (0.0, 0.05)])
+    return plan_to_dict(optimise_clusters(split_clusters(instance, 10), instance))
+
+
+def test_daemonic_caller_solves_in_process(monkeypatch):
+    # A multiprocessing.Pool worker may not start a pool of its own.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    with multiprocessing.get_context("fork").Pool(1) as outer:
+        assert outer.apply(two_cluster_plan, (9,)) == two_cluster_plan(9)
+
+
+def test_thread_cap_solves_in_process(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setenv("ROUTE_FORGE_THREADS", "1")
+    solves = []
+
+    def counted(sub, params):
+        solves.append(sub.n_waypoints)
+        return solve_cvrptw(sub, params)
+
+    monkeypatch.setattr(pipeline, "solve_cvrptw", counted)
+    assert two_cluster_plan(9) is not None
+    assert sorted(solves) == [10, 10]

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from routeforge.model import (
 )
 from routeforge.solver import (
     DistanceMatrix,
-    FirstSolution,
     InfeasibleError,
     SolverParams,
     build_matrix,
@@ -134,7 +134,6 @@ def test_params_validation():
         SolverParams(solution_limit=-1)
     with pytest.raises(ValueError):
         SolverParams(time_limit_ms=-1)
-    assert SolverParams().first_solution is FirstSolution.PATH_CHEAPEST_ARC
 
 
 # --- distance matrix ---
@@ -199,6 +198,13 @@ def test_greedy_runs_out_of_fleet():
     with pytest.raises(InfeasibleError) as err:
         path_cheapest_arc(instance, build_matrix(instance))
     assert err.value.unassigned == (3,)
+
+
+def test_infeasible_error_survives_pickling():
+    error = InfeasibleError(tuple(range(1, 11)))
+    copy = pickle.loads(pickle.dumps(error))
+    assert copy.unassigned == error.unassigned
+    assert str(copy) == str(error) == "10 waypoints cannot be assigned: [1, 2, 3, 4, 5, 6, 7, 8, ...]"
 
 
 def test_greedy_distance_tie_goes_to_lower_id():
