@@ -30,6 +30,7 @@ from .bench import (
 )
 from .clusterer import (
     ClusterConfig,
+    ClusterSet,
     Feasibility,
     NoSolutionFoundError,
     RecursionLimitError,
@@ -139,7 +140,9 @@ def _cmd_cluster(args) -> int:
     points = [wp.location for wp in instance.waypoints]
     config = _cluster_config(args) or ClusterConfig()
     try:
-        if args.flat:
+        if not points:
+            cluster_set = ClusterSet(())
+        elif args.flat:
             cluster_set, radius = binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
         else:
             cluster_set = recursive_dbscan(points, config)

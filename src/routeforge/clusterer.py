@@ -1,12 +1,12 @@
 """Radius search and recursive decomposition on top of density clustering.
 
-The searches exploit two monotone facts about density clusters with a
-min_samples of one: growing the radius only ever merges clusters, so the
-cluster count shrinks and the average cluster size grows.  Feasibility under
-either criterion is therefore a prefix of the radius axis and a plain integer
-binary search finds the largest workable radius.  Every probe is a cut of one
-spanning tree built per search, and the recursion hands each oversized
-cluster the part of that tree inside it.
+The searches exploit two monotone facts about clusters that are the
+connected components at a radius: growing the radius only ever merges
+clusters, so the cluster count shrinks and the average cluster size grows.
+Feasibility under either criterion is therefore a prefix of the radius axis
+and a plain integer binary search finds the largest workable radius.  Every
+probe is a cut of one spanning tree built per search, and the recursion hands
+each oversized cluster the part of that tree inside it.
 """
 
 from __future__ import annotations

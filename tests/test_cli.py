@@ -107,6 +107,20 @@ def test_cluster_flat_mode(tmp_path):
     assert max(len(c["members"]) for c in doc["clusters"]) <= 20
 
 
+@pytest.mark.parametrize("mode", [[], ["--flat"]])
+def test_cluster_empty_instance_writes_no_clusters(tmp_path, mode):
+    inst_path = gen(tmp_path, n=10)
+    with open(inst_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["waypoints"] = []
+    with open(inst_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out_path = str(tmp_path / "clusters.json")
+    assert main(["cluster", inst_path, "--out", out_path, *mode]) == 0
+    with open(out_path, encoding="utf-8") as fh:
+        assert json.load(fh) == {"clusters": []}
+
+
 # --- validate ---
 
 

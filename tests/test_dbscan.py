@@ -7,13 +7,11 @@ from hypothesis import strategies as st
 
 from routeforge.clusterer import ClusterConfig, Feasibility, binary_search_clusters
 from routeforge.dbscan import (
-    NOISE,
     ClusterLabels,
     DbscanParams,
     EmptyInputError,
     dbscan,
     pairwise_meters,
-    region_query,
     spanning_tree,
 )
 from routeforge.geo import METERS_PER_RADIAN, GeoPoint, meters_to_radians
@@ -84,37 +82,6 @@ def test_params_validation():
         DbscanParams(epsilon=-1e-9)
     with pytest.raises(ValueError):
         DbscanParams(epsilon=math.inf)
-    with pytest.raises(ValueError):
-        DbscanParams(epsilon=1e-4, min_samples=0)
-
-
-# --- region_query ---
-
-
-def test_region_query_single_point():
-    assert region_query([east(0)], 0, 1e-9) == [0]
-
-
-def test_region_query_below_threshold():
-    points = [east(0), east(500)]
-    eps = meters_to_radians(400)
-    assert region_query(points, 0, eps) == [0]
-    assert region_query(points, 1, eps) == [1]
-
-
-def test_region_query_matches_brute_scan():
-    rng = np.random.default_rng(7)
-    points = random_points(rng, 40)
-    eps = meters_to_radians(300)
-    dist = oracle_distances(points)
-    for center in range(len(points)):
-        expected = sorted(int(j) for j in np.nonzero(dist[center] <= 300.0)[0])
-        assert region_query(points, center, eps) == expected
-
-
-def test_region_query_bad_index():
-    with pytest.raises((IndexError, ValueError)):
-        region_query([east(0)], 5, 1e-6)
 
 
 # --- dbscan ---
@@ -185,31 +152,11 @@ def test_smaller_epsilon_refines_partition():
             assert any(cluster <= parent for parent in coarse)
 
 
-def test_grid_index_agrees_with_dense_path():
-    # above the brute-force limit the spatial index takes over for
-    # min_samples > 1 (min_samples = 1 cuts the spanning tree); feeding the
-    # same points with a precomputed matrix keeps the dense path in play
+def test_tree_cut_agrees_with_dense_path_above_2000():
     rng = np.random.default_rng(31)
     points = random_points(rng, 2_300, box_meters=20_000.0)
-    dense = pairwise_meters(points)
-    for radius, min_samples in ((700, 1), (250, 2)):
-        params = DbscanParams(epsilon=meters_to_radians(radius), min_samples=min_samples)
-        assert dbscan(points, params).labels == dbscan(points, params, pairwise=dense).labels
-
-
-def test_min_samples_two_marks_isolated_points_noise():
-    points = [east(0), east(10), east(20), east(5_000)]
-    labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(30), min_samples=2))
-    assert labels.labels[3] == NOISE
-    assert labels.labels[0] == labels.labels[1] == labels.labels[2] == 0
-
-
-def test_min_samples_two_border_point_joins_cluster():
-    # 0-1-2 mutually dense, 3 reachable only from 2: border, not noise
-    points = [east(0), east(20), east(40), east(70)]
-    labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(45), min_samples=3))
-    assert labels.labels[0] == labels.labels[1] == labels.labels[2] == 0
-    assert labels.labels[3] == 0
+    params = DbscanParams(epsilon=meters_to_radians(700))
+    assert dbscan(points, params).labels == dbscan(points, params, pairwise=pairwise_meters(points)).labels
 
 
 def test_identical_points_single_cluster():
@@ -219,6 +166,19 @@ def test_identical_points_single_cluster():
 
 
 # --- spanning tree cuts against the dense reference ---
+
+
+def test_tree_over_other_points_rejected():
+    points = [east(0), east(50), east(100)]
+    with pytest.raises(ValueError):
+        dbscan(points, DbscanParams(epsilon=meters_to_radians(60)), tree=spanning_tree(points[:2]))
+
+
+def test_subtree_across_clusters_rejected():
+    tree = spanning_tree([east(0), east(10), east(5_000), east(5_010)])
+    first, second = tree.cut(100.0).clusters()
+    with pytest.raises(ValueError):
+        tree.subtree([first[0], second[0]])
 
 
 def test_antimeridian_cluster_is_not_split():
