@@ -5,8 +5,9 @@ connected components at a radius: growing the radius only ever merges
 clusters, so the cluster count shrinks and the average cluster size grows.
 Feasibility under either criterion is therefore a prefix of the radius axis
 and a plain integer binary search finds the largest workable radius.  Every
-probe is a cut of one spanning tree built per search, and the recursion hands
-each oversized cluster the part of that tree inside it.
+probe is a lookup on one spanning tree built per search, only the winning
+radius is cut into clusters, and the recursion hands each oversized cluster
+the part of that tree inside it.
 """
 
 from __future__ import annotations
@@ -19,14 +20,13 @@ from typing import Optional, Sequence
 # pairwise_meters is not called here; it stays bound because
 # perfbench/tracer.py wraps this module's calls into the dbscan layer.
 from .dbscan import (
-    ClusterLabels,
     DbscanParams,
     SpanningTree,
     dbscan,
     pairwise_meters,  # noqa: F401
     spanning_tree,
 )
-from .geo import GeoPoint, haversine_distance, meters_to_radians
+from .geo import METERS_PER_RADIAN, GeoPoint, haversine_distance, meters_to_radians
 
 # Beyond this depth the decomposition is assumed to be stuck on pathological
 # input (for example large blocks of coincident points).
@@ -134,29 +134,36 @@ def binary_search_clusters(
 
     Probes the midpoint radius, grows the range on feasible probes and
     shrinks it otherwise, keeping the feasible probe with the largest average
-    cluster size.  Every probe cuts the same spanning tree, built here unless
-    the caller passes one over these points.  Raises NoSolutionFoundError
-    when no probe is feasible.
+    cluster size.  Every probe reads the cluster count, or the largest
+    cluster, of one spanning tree's cut without making the cut; the tree is
+    built here unless the caller passes one over these points.  Only the
+    winning radius is cut into clusters.  Raises NoSolutionFoundError when
+    no probe is feasible.
     """
     n = len(points)
     min_no = _resolved_min_clusters(config, n)
-    if tree is None and n > 0:
+    if tree is None:
         tree = spanning_tree(points)
+    elif tree.n != n:
+        raise ValueError(f"spanning tree covers {tree.n} points, got {n}")
+    peaks = tree.peak_sizes() if feasibility is Feasibility.MAX_SIZE_CAP else None
 
     lo, hi = config.min_radius, config.max_radius
-    best: Optional[tuple[float, ClusterLabels, int]] = None
+    best: Optional[tuple[float, int]] = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        labels = dbscan(points, DbscanParams(meters_to_radians(mid)), tree=tree)
-        count = labels.n_clusters
-        if feasibility is Feasibility.MAX_SIZE_CAP:
-            feasible = max(len(c) for c in labels.clusters()) <= config.max_cluster_size
+        # the radius in meters exactly as dbscan derives it from the params
+        eps_m = DbscanParams(meters_to_radians(mid)).epsilon * METERS_PER_RADIAN
+        joined = tree.edges_within(eps_m)
+        count = n - joined
+        if peaks is not None:
+            feasible = peaks[joined] <= config.max_cluster_size
         else:
             feasible = count >= min_no
         if feasible:
             average = n / count
             if best is None or average > best[0]:
-                best = (average, labels, mid)
+                best = (average, mid)
             lo = mid + 1
         else:
             hi = mid - 1
@@ -166,7 +173,8 @@ def binary_search_clusters(
             f"no radius in [{config.min_radius}, {config.max_radius}] m satisfies "
             f"{feasibility.value} over {n} points"
         )
-    _, labels, radius = best
+    _, radius = best
+    labels = dbscan(points, DbscanParams(meters_to_radians(radius)), tree=tree)
     clusters = tuple(
         _make_cluster(points, members, radius, depth) for members in labels.clusters()
     )

@@ -76,6 +76,14 @@ def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
     return 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(h))
 
 
+def _find(root: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class SpanningTree:
     """Minimum spanning tree over n points, edges ascending by weight in meters.
@@ -90,25 +98,36 @@ class SpanningTree:
     tails: np.ndarray
     weights: np.ndarray
 
+    def edges_within(self, eps_m: float) -> int:
+        """How many edges weigh at most eps_m: they are a prefix, and each
+        joins two components, so the cut at eps_m has n minus this many."""
+        return int(np.searchsorted(self.weights, eps_m, side="right"))
+
+    def peak_sizes(self) -> list[int]:
+        """peak_sizes()[k] is the largest component joined by the first k
+        edges, for every k from 0 to n - 1."""
+        root = list(range(self.n))
+        size = [1] * self.n
+        peaks = [1]
+        for a, b in zip(self.heads.tolist(), self.tails.tolist()):
+            ra, rb = _find(root, a), _find(root, b)
+            root[rb] = ra
+            size[ra] += size[rb]
+            peaks.append(max(peaks[-1], size[ra]))
+        return peaks
+
     def cut(self, eps_m: float) -> ClusterLabels:
         """Components joined by the edges of weight at most eps_m, labeled so
         that the component holding the lowest untouched index gets the next
         label."""
-        k = int(np.searchsorted(self.weights, eps_m, side="right"))
+        k = self.edges_within(eps_m)
         root = list(range(self.n))
-
-        def find(x: int) -> int:
-            while root[x] != x:
-                root[x] = root[root[x]]
-                x = root[x]
-            return x
-
         for a, b in zip(self.heads[:k].tolist(), self.tails[:k].tolist()):
-            ra, rb = find(a), find(b)
+            ra, rb = _find(root, a), _find(root, b)
             if ra != rb:
                 root[max(ra, rb)] = min(ra, rb)
         label_of: dict[int, int] = {}
-        labels = (label_of.setdefault(find(i), len(label_of)) for i in range(self.n))
+        labels = (label_of.setdefault(_find(root, i), len(label_of)) for i in range(self.n))
         return ClusterLabels(tuple(labels))
 
     def subtree(self, members: Sequence[int]) -> SpanningTree:

@@ -13,8 +13,7 @@ moves stops between the routes it was given.  So a pre-solved plan that used
 vehicles 1..k is exactly the plan the in-order solve would find whenever the
 first k free vehicles have the same capacities, in order.  Any other cluster
 is solved again in order against the free pool, so plans and errors are the
-same on any number of CPUs, unless a sub-solve stops at its wall-clock
-backstop.
+same on any number of CPUs.
 """
 
 from __future__ import annotations

@@ -2,16 +2,21 @@
 
 The solve is two-phase: a cheapest-arc greedy builds a feasible plan, then a
 first-improvement local search over a fixed set of neighborhoods polishes it
-under a time budget.  To keep results reproducible the budget is enforced as
-a deterministic amount of move evaluations calibrated to the configured
-milliseconds, with a generous wall-clock backstop for pathological cases.
+under a time budget.  The budget is a fixed number of move evaluations
+calibrated to the configured milliseconds, so a plan is a pure function of
+its input and settings; no wall clock enters the solve.
+
+Each solve builds one C-contiguous float64 distance array.  The greedy
+construction takes one masked argmin over an array row per step and the
+neighbor lists come from a partition over blocks of rows, while the local
+search reads single cells through per-row memoryviews.  The cells are
+still filled by the scalar geo.haversine_distance, one pair at a time, so
+they keep the exact bits that every plan was computed from.
 """
 
 from __future__ import annotations
 
-import math
 import random
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -37,11 +42,9 @@ NEIGHBORS = 24
 # wall clock so that identical runs accept identical move sequences.
 EVALS_PER_MS = 700
 
-# The wall-clock backstop only fires when evaluations run far slower than the
-# calibration assumed; it exists to honor the time limit contract, not to be
-# the primary stopping rule.
-BACKSTOP_FACTOR = 4.0
-_CHECK_MASK = 0x1FF  # re-check limits every 512 evaluations
+# Rows per block wherever a whole-matrix numpy pass would need an n^2
+# temporary: the matrix symmetrization and the neighbor partition.
+_ROW_BLOCK = 256
 
 
 class InfeasibleError(Exception):
@@ -75,15 +78,23 @@ class SolverParams:
             raise ValueError("time_limit_ms must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceMatrix:
     """Meters between every pair of nodes; index 0 is the depot.
 
-    Column 0 is zeroed because routes are open: driving back to the depot is
-    never charged.  Row 0 keeps the real depot-to-waypoint distances.
+    `array` is one C-contiguous float64 (n+1)^2 array for the vectorized
+    passes.  `rows` holds one memoryview per array row, so `rows[i][j]`
+    returns a Python float without building a numpy scalar; the local search
+    reads cells that way.  Column 0 is zeroed because routes are open:
+    driving back to the depot is never charged.  Row 0 keeps the real
+    depot-to-waypoint distances.
     """
 
-    rows: list[list[float]] = field(repr=False)
+    array: np.ndarray = field(repr=False)
+    rows: tuple[memoryview, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "rows", tuple(memoryview(row) for row in self.array))
 
     @property
     def n(self) -> int:
@@ -94,20 +105,25 @@ class DistanceMatrix:
 
 
 def build_matrix(instance: ProblemInstance) -> DistanceMatrix:
-    """Full node distance matrix for one instance."""
+    """Full node distance matrix for one instance.
+
+    Every cell is a geo.haversine_distance call, the scalar reference
+    kernel.  Only the upper triangle is computed; adding the transpose
+    mirrors it exactly, because x + 0.0 == x.
+    """
     points = [instance.depot.location] + [w.location for w in instance.waypoints]
     n = len(points)
-    rows = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        row_i = rows[i]
+    arr = np.zeros((n, n))
+    for i in range(n - 1):
         p_i = points[i]
-        for j in range(i + 1, n):
-            d = haversine_distance(p_i, points[j])
-            row_i[j] = d
-            rows[j][i] = d
-    for row in rows:
-        row[0] = 0.0
-    return DistanceMatrix(rows)
+        arr[i, i + 1 :] = [haversine_distance(p_i, q) for q in points[i + 1 :]]
+    # Block by rows so that the transpose's copy stays small: rows a..b
+    # read only columns a..b, which no earlier block wrote.
+    for a in range(0, n, _ROW_BLOCK):
+        b = a + _ROW_BLOCK
+        arr[a:b, :b] += arr[:b, a:b].T
+    arr[:, 0] = 0.0
+    return DistanceMatrix(arr)
 
 
 def path_cheapest_arc(instance: ProblemInstance, matrix: DistanceMatrix) -> RoutePlan:
@@ -115,25 +131,27 @@ def path_cheapest_arc(instance: ProblemInstance, matrix: DistanceMatrix) -> Rout
 
     Vehicles open one at a time in id order; a vehicle closes when no
     remaining waypoint fits its capacity and time constraints.  Ties on
-    distance go to the lower waypoint id.
+    distance go to the lower waypoint id, the first minimum argmin returns.
     """
     n = instance.n_waypoints
     if n == 0:
         return RoutePlan(())
-    rows = matrix.rows
+    arr = matrix.array
     speed = instance.travel.speed_mps
     e0 = float(instance.depot.window.earliest)
-    earliest = [0] * (n + 1)
-    latest = [0] * (n + 1)
+    earliest = np.zeros(n + 1)
+    latest = np.zeros(n + 1)
     service = [0] * (n + 1)
-    demand = [0] * (n + 1)
     for w in instance.waypoints:
         earliest[w.id] = w.window.earliest
         latest[w.id] = w.window.latest
         service[w.id] = w.service_duration
-        demand[w.id] = w.demand
+    demands = [0] + [w.demand for w in instance.waypoints]
+    # object dtype keeps Python's exact integers for demands beyond int64
+    demand = np.array(demands, dtype=np.int64 if max(demands) < 2**63 else object)
 
-    visited = [False] * (n + 1)
+    unvisited = np.ones(n + 1, dtype=bool)
+    unvisited[0] = False
     remaining = n
     routes: list[Route] = []
 
@@ -146,39 +164,25 @@ def path_cheapest_arc(instance: ProblemInstance, matrix: DistanceMatrix) -> Rout
         clock = e0
         stops: list[StopVisit] = []
         while True:
-            row_last = rows[last]
-            best_id = 0
-            best_dist = math.inf
-            for j in range(1, n + 1):
-                if visited[j]:
-                    continue
-                dist = row_last[j]
-                if dist >= best_dist:
-                    continue
-                if load + demand[j] > capacity:
-                    continue
-                arrival = clock + dist / speed
-                start = arrival if arrival > earliest[j] else earliest[j]
-                if start > latest[j]:
-                    continue
-                best_dist = dist
-                best_id = j
-            if best_id == 0:
+            row = arr[last]
+            fits = unvisited & (demand <= capacity - load)
+            fits &= np.maximum(clock + row / speed, earliest) <= latest
+            best_id = int(np.argmin(np.where(fits, row, np.inf)))
+            if not fits[best_id]:
                 break
-            arrival = clock + best_dist / speed
+            arrival = clock + float(row[best_id]) / speed
             start = max(arrival, float(earliest[best_id]))
             clock = start + service[best_id]
             stops.append(StopVisit(best_id, arrival, clock))
-            visited[best_id] = True
-            load += demand[best_id]
+            unvisited[best_id] = False
+            load += int(demand[best_id])
             last = best_id
             remaining -= 1
         if stops:
             routes.append(Route(vehicle.id, e0, tuple(stops)))
 
     if remaining:
-        unassigned = tuple(j for j in range(1, n + 1) if not visited[j])
-        raise InfeasibleError(unassigned)
+        raise InfeasibleError(tuple(np.flatnonzero(unvisited).tolist()))
     return RoutePlan(tuple(routes))
 
 
@@ -194,19 +198,28 @@ class _WorkRoute:
         self.load = load
 
 
-def _nearest_neighbors(rows: list[list[float]], n: int, k: int) -> list[list[int]]:
-    """For each waypoint the k nearest other waypoints, nearest first."""
-    out: list[list[int]] = [[] for _ in range(n + 1)]
+def _nearest_neighbors(arr: np.ndarray, n: int, k: int) -> list[list[int]]:
+    """For each waypoint the k nearest other waypoints, ordered by
+    (distance, id); ties at the k-th place go to the lower ids."""
     if n <= 1:
-        return out
+        return [[] for _ in range(n + 1)]
     k = min(k, n - 1)
-    for u in range(1, n + 1):
-        row = np.array(rows[u])
-        row[0] = np.inf
-        row[u] = np.inf
-        idx = np.argpartition(row, k - 1)[:k]
-        pairs = sorted((float(row[j]), int(j)) for j in idx)
-        out[u] = [j for _, j in pairs]
+    out: list[list[int]] = [[]]
+    for a in range(1, n + 1, _ROW_BLOCK):
+        block = arr[a : a + _ROW_BLOCK, 1:].copy()
+        m = len(block)
+        block[np.arange(m), np.arange(a - 1, a - 1 + m)] = np.inf
+        near = np.argpartition(block, k - 1, axis=1)[:, :k]
+        dist = np.take_along_axis(block, near, axis=1)
+        # argpartition picks arbitrarily among ties with the k-th distance;
+        # rows that have such ties take the lowest ids by a stable sort.
+        kth = dist.max(axis=1, keepdims=True)
+        for r in np.flatnonzero((block <= kth).sum(axis=1) > k):
+            ids = np.flatnonzero(block[r] <= kth[r])
+            near[r] = ids[np.argsort(block[r, ids], kind="stable")[:k]]
+            dist[r] = block[r, near[r]]
+        order = np.lexsort((near, dist), axis=1)
+        out += (np.take_along_axis(near, order, axis=1) + 1).tolist()
     return out
 
 
@@ -253,7 +266,7 @@ def local_search(
             route_of[j] = len(routes)
         routes.append(work)
 
-    neighbors = _nearest_neighbors(rows, n, NEIGHBORS)
+    neighbors = _nearest_neighbors(matrix.array, n, NEIGHBORS)
 
     def schedule_ok(stops: list[int]) -> bool:
         clock = e0
@@ -287,8 +300,6 @@ def local_search(
 
     step = params.optimization_step
     quota = params.time_limit_ms * EVALS_PER_MS
-    backstop = max(0.05, params.time_limit_ms * BACKSTOP_FACTOR / 1000.0)
-    deadline = time.monotonic() + backstop
     evals = 0
     accepted = 0
     out_of_budget = params.solution_limit == 0 or quota == 0
@@ -315,9 +326,6 @@ def local_search(
         if out_of_budget:
             return False
         if evals >= quota or accepted >= params.solution_limit:
-            out_of_budget = True
-            return False
-        if evals & _CHECK_MASK == 0 and time.monotonic() > deadline:
             out_of_budget = True
             return False
         return True

@@ -272,10 +272,11 @@ def test_wall_budget_breach_leaves_no_process_behind(monkeypatch, tmp_path):
 
 
 def test_memory_budget_breach_is_a_crash_record():
-    # the 2,001-node distance matrix alone wants far more than the cap, so
-    # the child cannot finish inside recycled heap space
+    # the 4,001-node distance matrix alone is one 128 MB array, four times
+    # the cap and more than the heap that earlier in-process solves leave
+    # free, so the child cannot finish inside recycled heap space
     records = run_benchmark(
-        sizes=[2_000],
+        sizes=[4_000],
         repetitions=1,
         strategies=[Strategy.MONOLITHIC],
         params=FAST,

@@ -172,6 +172,12 @@ def test_tree_over_other_points_rejected():
     points = [east(0), east(50), east(100)]
     with pytest.raises(ValueError):
         dbscan(points, DbscanParams(epsilon=meters_to_radians(60)), tree=spanning_tree(points[:2]))
+    # a search whose probes are all infeasible still rejects the tree
+    config = ClusterConfig(min_no_clusters=10)
+    with pytest.raises(ValueError):
+        binary_search_clusters(
+            points, config, Feasibility.MIN_CLUSTER_COUNT, tree=spanning_tree(points[:2])
+        )
 
 
 def test_subtree_across_clusters_rejected():
@@ -253,3 +259,22 @@ def test_subtree_cut_equals_tree_of_the_cluster(data, drawn):
     for members in tree.cut(coarse).clusters():
         own = spanning_tree([points[i] for i in members])
         assert tree.subtree(members).cut(fine) == own.cut(fine)
+
+
+@settings(max_examples=100, deadline=None)
+@given(drawn=point_sets())
+def test_probe_lookups_equal_tree_cut_at_edge_weights(drawn):
+    points, _ = drawn
+    tree = spanning_tree(points)
+    peaks = tree.peak_sizes()
+    assert len(peaks) == tree.n
+    # every exact edge weight, where a probe's boundary sits, and the floats
+    # on either side of it
+    radii = {0.0}
+    for w in tree.weights.tolist():
+        radii.update((np.nextafter(w, 0.0), w, np.nextafter(w, np.inf)))
+    for radius in sorted(radii):
+        joined = tree.edges_within(radius)
+        labels = tree.cut(radius)
+        assert tree.n - joined == labels.n_clusters
+        assert peaks[joined] == max(len(c) for c in labels.clusters())

@@ -3,12 +3,15 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from routeforge.geo import METERS_PER_RADIAN, GeoPoint
+from routeforge.geo import METERS_PER_RADIAN, GeoPoint, haversine_distance
 from routeforge.model import (
     Depot,
     ProblemInstance,
     Route,
+    RoutePlan,
     StopVisit,
     TimeWindow,
     TravelModel,
@@ -23,6 +26,7 @@ from routeforge.solver import (
     DistanceMatrix,
     InfeasibleError,
     SolverParams,
+    _nearest_neighbors,
     build_matrix,
     local_search,
     path_cheapest_arc,
@@ -74,8 +78,6 @@ def routed(instance, vehicle_id, stop_ids):
 
 
 def RoutePlanFrom(instance, routes_stop_ids):
-    from routeforge.model import RoutePlan
-
     return RoutePlan(
         tuple(routed(instance, v + 1, ids) for v, ids in enumerate(routes_stop_ids) if ids)
     )
@@ -328,3 +330,163 @@ def test_toy_instances_land_near_optimum(seed):
     optimum = branch_and_bound_optimum(instance)
     assert optimum < math.inf
     assert got <= optimum * 1.10 + 1e-6
+
+
+# --- fast paths against slow references ---
+
+
+def scalar_cheapest_arc(instance, matrix):
+    """The greedy construction as one Python scan per step over the matrix
+    cells, the reference for the masked argmin in path_cheapest_arc."""
+    n = instance.n_waypoints
+    speed = instance.travel.speed_mps
+    e0 = float(instance.depot.window.earliest)
+    by_id = {w.id: w for w in instance.waypoints}
+    visited = [False] * (n + 1)
+    routes = []
+    for vehicle in instance.vehicles:
+        if all(visited[1:]):
+            break
+        load, last, clock, stops = 0, 0, e0, []
+        while True:
+            best_id, best_dist = 0, math.inf
+            for j in range(1, n + 1):
+                w = by_id[j]
+                dist = matrix.d(last, j)
+                if visited[j] or dist >= best_dist or load + w.demand > vehicle.capacity:
+                    continue
+                arrival = clock + dist / speed
+                start = arrival if arrival > w.window.earliest else w.window.earliest
+                if start > w.window.latest:
+                    continue
+                best_id, best_dist = j, dist
+            if best_id == 0:
+                break
+            w = by_id[best_id]
+            arrival = clock + best_dist / speed
+            clock = max(arrival, float(w.window.earliest)) + w.service_duration
+            stops.append(StopVisit(best_id, arrival, clock))
+            visited[best_id] = True
+            load += w.demand
+            last = best_id
+        if stops:
+            routes.append(Route(vehicle.id, e0, tuple(stops)))
+    unassigned = tuple(j for j in range(1, n + 1) if not visited[j])
+    if unassigned:
+        raise InfeasibleError(unassigned)
+    return RoutePlan(tuple(routes))
+
+
+@st.composite
+def node_sets(draw):
+    """A depot plus up to 40 waypoints in a box of 10 m to 50 km, some of
+    them coincident, anywhere on the globe including across lon 180."""
+    n = draw(st.integers(0, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    box = draw(st.sampled_from([10.0, 2_000.0, 50_000.0]))
+    lat0 = draw(st.floats(-70.0, 70.0))
+    lon0 = draw(st.one_of(st.floats(-180.0, 180.0), st.sampled_from([-180.0, 179.999])))
+    repeat = draw(st.sampled_from([0.0, 0.3, 0.9]))
+    rng = np.random.default_rng(seed)
+    lat = lat0 + rng.uniform(0.0, box, n + 1) / EQUATOR_DEGREE_M
+    lon = lon0 + rng.uniform(0.0, box, n + 1) / (EQUATOR_DEGREE_M * math.cos(math.radians(lat0)))
+    lon = (lon + 180.0) % 360.0 - 180.0
+    nodes = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
+    for i in range(1, n + 1):
+        if rng.uniform() < repeat:
+            nodes[i] = nodes[int(rng.integers(0, i))]
+    return nodes, rng
+
+
+def instance_on(nodes, rng, n_vehicles=3, capacity=10, speed=10.0, tight=False):
+    """Waypoints on nodes[1:] with random demands, service times and
+    windows; tight windows open up to an hour in and last minutes."""
+    waypoints = []
+    for i, point in enumerate(nodes[1:], start=1):
+        if tight:
+            earliest = int(rng.integers(0, 3_600))
+            window = TimeWindow(earliest, earliest + int(rng.integers(0, 600)))
+        else:
+            window = WIDE
+        demand = int(rng.integers(0, capacity + 1))
+        waypoints.append(Waypoint(i, point, demand, window, int(rng.integers(0, 120))))
+    vehicles = tuple(Vehicle(j + 1, capacity) for j in range(n_vehicles))
+    return ProblemInstance(Depot(nodes[0], WIDE), tuple(waypoints), vehicles, TravelModel(speed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=node_sets())
+def test_matrix_cells_are_the_scalar_kernel_bit_for_bit(drawn):
+    nodes, rng = drawn
+    matrix = build_matrix(instance_on(nodes, rng))
+    assert matrix.n == len(nodes)
+    assert matrix.array.flags.c_contiguous and matrix.array.dtype == np.float64
+    for i, p in enumerate(nodes):
+        assert matrix.d(i, 0) == 0.0
+        for j in range(1, len(nodes)):
+            got = matrix.d(i, j)
+            assert type(got) is float
+            assert got == haversine_distance(p, nodes[j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=node_sets(),
+    n_vehicles=st.integers(1, 8),
+    capacity=st.integers(0, 20),
+    speed=st.sampled_from([0.5, 10.0, 30.0]),
+    tight=st.booleans(),
+)
+def test_greedy_equals_scalar_scan(drawn, n_vehicles, capacity, speed, tight):
+    nodes, rng = drawn
+    instance = instance_on(nodes, rng, n_vehicles, capacity, speed, tight)
+    matrix = build_matrix(instance)
+    try:
+        expected = scalar_cheapest_arc(instance, matrix)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError) as err:
+            path_cheapest_arc(instance, matrix)
+        assert err.value.unassigned == exc.unassigned
+        return
+    assert path_cheapest_arc(instance, matrix) == expected
+
+
+def test_greedy_keeps_demands_beyond_int64_exact():
+    big = 2**64
+    instance = make_instance(
+        [100.0, 200.0, 300.0], demands=[big, 1, big], capacity=2 * big, n_vehicles=2
+    )
+    matrix = build_matrix(instance)
+    plan = path_cheapest_arc(instance, matrix)
+    assert plan == scalar_cheapest_arc(instance, matrix)
+    assert [s.waypoint_id for s in plan.routes[0].stops] == [1, 2]
+    assert validate_solution(plan, instance) == []
+
+
+def sorted_neighbors(matrix, n, k):
+    return [[]] + [
+        [j for _, j in sorted((matrix.d(u, j), j) for j in range(1, n + 1) if j != u)[:k]]
+        for u in range(1, n + 1)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=node_sets(), k=st.integers(1, 30))
+def test_neighbor_lists_equal_sorted_reference(drawn, k):
+    nodes, rng = drawn
+    matrix = build_matrix(instance_on(nodes, rng))
+    n = len(nodes) - 1
+    assert _nearest_neighbors(matrix.array, n, k) == sorted_neighbors(matrix, n, min(k, max(n - 1, 0)))
+
+
+def test_neighbor_ties_go_to_lower_ids():
+    # waypoints 1..30 share one spot and 31..180 trail off to the east, so
+    # each of the first 30 sees 29 others at distance 0 and keeps the lowest
+    # 24 ids; an unpinned partition keeps some arbitrary 24 of them at this
+    # row length
+    nodes = [east(0.0)] + [east(1_000.0)] * 30 + [east(2_000.0 + 10.0 * i) for i in range(150)]
+    matrix = build_matrix(instance_on(nodes, np.random.default_rng(0)))
+    near = _nearest_neighbors(matrix.array, 180, 24)
+    assert near[1] == list(range(2, 26))
+    assert near[16] == list(range(1, 16)) + list(range(17, 26))
+    assert near == sorted_neighbors(matrix, 180, 24)
