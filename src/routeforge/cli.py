@@ -59,12 +59,20 @@ def _load_instance_or_usage(path: str):
         raise _UsageError(f"cannot load instance {path}: {exc}") from exc
 
 
+def _config(cls, **kwargs):
+    """Build a config from flag values; a value the config rejects is a usage error."""
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise _UsageError(f"bad option value: {exc}") from exc
+
+
 def _cluster_config(args) -> Optional[ClusterConfig]:
     names = ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size", "min_no_clusters")
     given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     if not given:
         return None
-    return ClusterConfig(**given)
+    return _config(ClusterConfig, **given)
 
 
 def _solver_params(args) -> Optional[SolverParams]:
@@ -79,7 +87,7 @@ def _solver_params(args) -> Optional[SolverParams]:
         kwargs["rng_seed"] = args.seed
     if not kwargs:
         return None
-    return SolverParams(**kwargs)
+    return _config(SolverParams, **kwargs)
 
 
 def _add_solver_flags(parser) -> None:
@@ -97,7 +105,8 @@ def _add_cluster_flags(parser) -> None:
 
 
 def _cmd_generate(args) -> int:
-    config = GeneratorConfig(
+    config = _config(
+        GeneratorConfig,
         n_waypoints=args.n,
         seed=args.seed or 0,
         demand_range=(1, args.demand_max) if args.demand_max else (1, 4),
@@ -184,7 +193,8 @@ def _cmd_bench(args) -> int:
         strategies = list(Strategy)
     generator = None
     if args.windows != WindowStyle.WIDE.value or args.capacity is not None or args.demand_max:
-        generator = GeneratorConfig(
+        generator = _config(
+            GeneratorConfig,
             n_waypoints=1,
             demand_range=(1, args.demand_max) if args.demand_max else (1, 4),
             window_style=WindowStyle(args.windows),

@@ -26,7 +26,7 @@ from .dbscan import (
     pairwise_meters,  # noqa: F401
     spanning_tree,
 )
-from .geo import METERS_PER_RADIAN, GeoPoint, haversine_distance, meters_to_radians
+from .geo import GeoPoint, haversine_distance
 
 # Beyond this depth the decomposition is assumed to be stuck on pathological
 # input (for example large blocks of coincident points).
@@ -152,9 +152,7 @@ def binary_search_clusters(
     best: Optional[tuple[float, int]] = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        # the radius in meters exactly as dbscan derives it from the params
-        eps_m = DbscanParams(meters_to_radians(mid)).epsilon * METERS_PER_RADIAN
-        joined = tree.edges_within(eps_m)
+        joined = tree.edges_within(float(mid))
         count = n - joined
         if peaks is not None:
             feasible = peaks[joined] <= config.max_cluster_size
@@ -174,7 +172,7 @@ def binary_search_clusters(
             f"{feasibility.value} over {n} points"
         )
     _, radius = best
-    labels = dbscan(points, DbscanParams(meters_to_radians(radius)), tree=tree)
+    labels = dbscan(points, DbscanParams(float(radius)), tree=tree)
     clusters = tuple(
         _make_cluster(points, members, radius, depth) for members in labels.clusters()
     )

@@ -1,14 +1,14 @@
 """Density clustering over geographic points.
 
-The clustering radius is angular (radians on the unit sphere) so callers
-convert metric radii through geo.meters_to_radians.  A cluster is a connected
-component of the epsilon-neighborhood graph, which is DBSCAN with every point
-a core point and the property the radius search above this module relies on.
-Those components are the cuts at epsilon of one minimum spanning tree (Gower
-and Ross, 1969), so a single SpanningTree answers every radius over the same
-points, and the part of it inside one cluster answers every radius over that
-cluster.  Flooding the thresholded pairwise matrix gives the same labels in
-O(n^2) memory; it stays as the reference the tree cut is tested against.
+The radius is in meters.  A cluster is a connected component of the graph
+joining points at most the radius apart (at 0, only coincident points),
+which is DBSCAN with every point a core point and the property the radius
+search above this module relies on.  Those components are the cuts at the
+radius of one minimum spanning tree (Gower and Ross, 1969), so a single
+SpanningTree answers every radius over the same points, and the part of it
+inside one cluster answers every radius over that cluster.  Flooding the
+thresholded pairwise matrix gives the same labels in O(n^2) memory; it stays
+as the reference the tree cut is tested against.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geo import METERS_PER_RADIAN, GeoPoint
+from .geo import GeoPoint, h_meters, haversine_h, radian_arrays
 
 # No package code branches on this point count: every probe cuts the spanning
 # tree at any size.  It stays bound because perfbench/tracer.py reads it to
@@ -33,13 +33,13 @@ class EmptyInputError(ValueError):
 
 @dataclass(frozen=True)
 class DbscanParams:
-    """Angular neighborhood radius."""
+    """Neighborhood radius in meters, finite and at least 0."""
 
-    epsilon: float
+    radius_m: float
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0 or not math.isfinite(self.epsilon):
-            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not 0.0 <= self.radius_m < math.inf:
+            raise ValueError(f"radius_m must be finite and non-negative, got {self.radius_m}")
 
 
 @dataclass(frozen=True)
@@ -60,20 +60,10 @@ class ClusterLabels:
         return out
 
 
-def _radian_arrays(points: Sequence[GeoPoint]) -> tuple[np.ndarray, np.ndarray]:
-    lat = np.radians(np.fromiter((p.lat for p in points), dtype=np.float64, count=len(points)))
-    lon = np.radians(np.fromiter((p.lon for p in points), dtype=np.float64, count=len(points)))
-    return lat, lon
-
-
 def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
     """Full symmetric haversine distance matrix in meters."""
-    lat, lon = _radian_arrays(points)
-    dlat = lat[:, None] - lat[None, :]
-    dlon = lon[:, None] - lon[None, :]
-    h = np.sin(dlat / 2.0) ** 2 + np.cos(lat)[:, None] * np.cos(lat)[None, :] * np.sin(dlon / 2.0) ** 2
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(h))
+    lat, lon, cos_lat = radian_arrays(points)
+    return h_meters(haversine_h(lat[:, None], lon[:, None], cos_lat[:, None], lat, lon, cos_lat))
 
 
 def _find(root: list[int], x: int) -> int:
@@ -147,17 +137,16 @@ def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
     """Prim's algorithm over exact haversine weights.
 
     Each step computes one row of the haversine term h, from the point just
-    added to the points still outside the tree, written term for term like
+    added to the points still outside the tree, with the geo.haversine_h of
     pairwise_meters.  Prim compares h itself: meters are a monotone function
     of h, so the tree is a minimum spanning tree in meters too.  Only the
-    n - 1 chosen h become meters, with the pairwise_meters expression, so the
-    weights match it bit for bit.  Memory stays O(n).
+    n - 1 chosen h become meters, through the same geo.h_meters, so the
+    weights match pairwise_meters bit for bit.  Memory stays O(n).
     """
     n = len(points)
     if n == 0:
         raise EmptyInputError("cannot build a spanning tree over an empty point set")
-    lat, lon = _radian_arrays(points)
-    cos_lat = np.cos(lat)
+    lat, lon, cos_lat = radian_arrays(points)
     # The points outside the tree sit in the first m slots of the out_*,
     # best and via arrays: the one that joins swaps places with the last.
     out_idx = np.arange(1, n, dtype=np.int64)
@@ -169,10 +158,7 @@ def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
     weights = np.empty(n - 1)
     u = 0
     for step, m in enumerate(range(n - 1, 0, -1)):
-        dlat = lat[u] - out_lat[:m]
-        dlon = lon[u] - out_lon[:m]
-        h = np.sin(dlat / 2.0) ** 2 + cos_lat[u] * out_cos[:m] * np.sin(dlon / 2.0) ** 2
-        np.clip(h, 0.0, 1.0, out=h)
+        h = haversine_h(lat[u], lon[u], cos_lat[u], out_lat[:m], out_lon[:m], out_cos[:m])
         closer = h < best[:m]
         best[:m][closer] = h[closer]
         via[:m][closer] = u
@@ -182,7 +168,7 @@ def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
         u = v
         for arr in (out_idx, out_lat, out_lon, out_cos, best, via):
             arr[j], arr[m - 1] = arr[m - 1], arr[j]
-    weights = 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(weights))
+    weights = h_meters(weights)
     order = np.argsort(weights, kind="stable")
     return SpanningTree(n, heads[order], tails[order], weights[order])
 
@@ -221,7 +207,7 @@ def dbscan(
     pairwise: Optional[np.ndarray] = None,
     tree: Optional[SpanningTree] = None,
 ) -> ClusterLabels:
-    """Label every point with its density cluster.
+    """Label every point with its density cluster at params.radius_m meters.
 
     Labels count up from 0 in order of each cluster's lowest index.  Without
     a pairwise matrix the labels are a cut of the spanning tree; pass one
@@ -233,11 +219,10 @@ def dbscan(
     if n == 0:
         raise EmptyInputError("cannot cluster an empty point set")
 
-    eps_m = params.epsilon * METERS_PER_RADIAN
     if pairwise is not None:
-        return _components_dense(pairwise <= eps_m)
+        return _components_dense(pairwise <= params.radius_m)
     if tree is None:
         tree = spanning_tree(points)
     elif tree.n != n:
         raise ValueError(f"spanning tree covers {tree.n} points, got {n}")
-    return tree.cut(eps_m)
+    return tree.cut(params.radius_m)

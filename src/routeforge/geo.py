@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
-# Mean Earth radius in meters.  Every conversion between a metric radius and an
-# angular one goes through this constant; it is deliberately not configurable so
-# that clustering radii and reported distances stay on the same sphere.
+import numpy as np
+
+# Mean Earth radius in meters.  Every distance and every clustering radius is
+# in meters on this sphere; it is deliberately not configurable so that
+# clustering radii and reported distances stay on the same sphere.
 METERS_PER_RADIAN = 6_371_008.8
-
-
-class NegativeRadiusError(ValueError):
-    """Raised when a metric radius below zero is converted to an angle."""
 
 
 @dataclass(frozen=True)
@@ -37,8 +36,21 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * METERS_PER_RADIAN * math.asin(math.sqrt(h))
 
 
-def meters_to_radians(radius_meters: float) -> float:
-    """Convert a metric search radius to the angular radius used by clustering."""
-    if radius_meters < 0:
-        raise NegativeRadiusError(f"radius must be non-negative, got {radius_meters}")
-    return radius_meters / METERS_PER_RADIAN
+def radian_arrays(points: Sequence[GeoPoint]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Latitudes and longitudes in radians, and the cosines of the latitudes."""
+    lat = np.radians(np.fromiter((p.lat for p in points), dtype=np.float64, count=len(points)))
+    lon = np.radians(np.fromiter((p.lon for p in points), dtype=np.float64, count=len(points)))
+    return lat, lon, np.cos(lat)
+
+
+def haversine_h(lat1, lon1, cos1, lat2, lon2, cos2) -> np.ndarray:
+    """haversine_distance's term h, clipped to [0, 1], between broadcastable
+    radian_arrays.  Every array distance goes through it and h_meters, so
+    equal inputs give equal meters to the last bit in every caller."""
+    h = np.sin((lat1 - lat2) / 2.0) ** 2 + cos1 * cos2 * np.sin((lon1 - lon2) / 2.0) ** 2
+    return np.clip(h, 0.0, 1.0, out=h)
+
+
+def h_meters(h: np.ndarray) -> np.ndarray:
+    """Great-circle meters of a haversine term, a monotone function of h."""
+    return 2.0 * METERS_PER_RADIAN * np.arcsin(np.sqrt(h))

@@ -64,25 +64,18 @@ class PipelineResult:
 
 def _sub_instance(
     instance: ProblemInstance, member_indices: list[int], free_vehicle_ids: list[int]
-) -> tuple[ProblemInstance, dict[int, int], dict[int, int]]:
-    """Build a dense-id instance over one cluster and the free fleet.
-
-    Returns the instance plus maps from the compact waypoint and vehicle ids
-    back to the originals.
-    """
-    waypoints = []
-    wp_back: dict[int, int] = {}
-    for new_id, idx in enumerate(sorted(member_indices), start=1):
-        original = instance.waypoints[idx]
-        wp_back[new_id] = original.id
-        waypoints.append(replace(original, id=new_id))
-    vehicles = []
-    veh_back: dict[int, int] = {}
-    for new_id, original_id in enumerate(sorted(free_vehicle_ids), start=1):
-        veh_back[new_id] = original_id
-        vehicles.append(replace(instance.vehicle(original_id), id=new_id))
-    sub = ProblemInstance(instance.depot, tuple(waypoints), tuple(vehicles), instance.travel)
-    return sub, wp_back, veh_back
+) -> ProblemInstance:
+    """Build a dense-id instance over one cluster and the free fleet: ids
+    1.. go to the sorted members and to the sorted free vehicles."""
+    waypoints = tuple(
+        replace(instance.waypoints[idx], id=new_id)
+        for new_id, idx in enumerate(sorted(member_indices), start=1)
+    )
+    vehicles = tuple(
+        replace(instance.vehicle(original_id), id=new_id)
+        for new_id, original_id in enumerate(sorted(free_vehicle_ids), start=1)
+    )
+    return ProblemInstance(instance.depot, waypoints, vehicles, instance.travel)
 
 
 def _worker_cap(requested: int) -> int:
@@ -125,7 +118,7 @@ def _presolve_init(
 def _presolve(index: int) -> _SubSolve:
     """Solve the index-th cluster in solve order against the whole fleet."""
     instance, members, params = _presolve_job
-    sub, _, _ = _sub_instance(instance, members[index], [v.id for v in instance.vehicles])
+    sub = _sub_instance(instance, members[index], [v.id for v in instance.vehicles])
     try:
         return solve_cvrptw(sub, params)
     except InfeasibleError as exc:
@@ -190,10 +183,9 @@ def _assign_vehicles(
                 used = max(outcome[1], default=0)
             if [instance.vehicle(v).capacity for v in free[:used]] != fleet_capacities[:used]:
                 outcome = None
-        sub, wp_back, veh_back = _sub_instance(instance, cluster_members, free)
         if outcome is None:
             try:
-                outcome = solve_cvrptw(sub, params)
+                outcome = solve_cvrptw(_sub_instance(instance, cluster_members, free), params)
             except InfeasibleError as exc:
                 outcome = exc
         if isinstance(outcome, InfeasibleError):
@@ -201,13 +193,16 @@ def _assign_vehicles(
                 f"sub-solve infeasible for cluster of size {size}: {outcome}"
             ) from outcome
         sub_plan, busy = outcome
+        # original ids by sub-instance id - 1, as _sub_instance numbers them
+        wp_back = [instance.waypoints[i].id for i in sorted(cluster_members)]
+        veh_back = sorted(free)
         for sub_route in sub_plan.routes:
             stops = tuple(
-                StopVisit(wp_back[s.waypoint_id], s.arrival_time, s.departure_time)
+                StopVisit(wp_back[s.waypoint_id - 1], s.arrival_time, s.departure_time)
                 for s in sub_route.stops
             )
-            routes.append(Route(veh_back[sub_route.vehicle_id], sub_route.depot_pickup_time, stops))
-        busy_original = {veh_back[b] for b in busy}
+            routes.append(Route(veh_back[sub_route.vehicle_id - 1], sub_route.depot_pickup_time, stops))
+        busy_original = {veh_back[b - 1] for b in busy}
         free = [v for v in free if v not in busy_original]
     return RoutePlan(tuple(routes))
 

@@ -32,7 +32,7 @@ from routeforge.clusterer import (
     recursive_dbscan,
 )
 from routeforge.dbscan import DbscanParams, dbscan
-from routeforge.geo import METERS_PER_RADIAN, GeoPoint, meters_to_radians
+from routeforge.geo import METERS_PER_RADIAN, GeoPoint
 from routeforge.model import (
     Depot,
     ProblemInstance,
@@ -154,7 +154,7 @@ def test_clustering_matches_connected_components():
         n = 20 + (7 * i) % 181
         radius = 60.0 + (17 * i) % 450
         points = box_points(rng, n, 2_000.0)
-        labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(radius)))
+        labels = dbscan(points, DbscanParams(radius_m=radius))
         ours = {frozenset(members) for members in labels.clusters()}
         assert ours == oracle_components(points, radius), f"case {i}: n={n} r={radius}"
     elapsed = time.monotonic() - started

@@ -121,6 +121,20 @@ def test_cluster_empty_instance_writes_no_clusters(tmp_path, mode):
         assert json.load(fh) == {"clusters": []}
 
 
+def test_cluster_flat_at_radius_zero(tmp_path):
+    inst_path = gen(tmp_path, n=30, seed=5)
+    out_path = str(tmp_path / "flat.json")
+    code = main(
+        ["cluster", inst_path, "--out", out_path, "--flat", "--min-radius", "0", "--max-radius", "0"]
+    )
+    assert code == 0
+    with open(out_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    # no two generated waypoints coincide, so a 0 m radius leaves singletons
+    assert sorted(c["members"] for c in doc["clusters"]) == [[i] for i in range(1, 31)]
+    assert {c["radius"] for c in doc["clusters"]} == {0}
+
+
 # --- validate ---
 
 
@@ -221,6 +235,28 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
     )
     assert code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["generate", "--n", "0"], "n_waypoints"),
+        (["generate", "--n", "5", "--capacity", "0"], "vehicle_capacity"),
+        (["cluster", "{inst}", "--max-cluster-size", "0"], "max_cluster_size"),
+        (["cluster", "{inst}", "--min-radius", "-1"], "min_radius"),
+        (["solve", "{inst}", "--time-limit-ms", "-5"], "time_limit_ms"),
+        (["solve", "{inst}", "--optimization-step", "-1"], "optimization_step"),
+        (["bench", "--sizes", "30", "--reps", "1", "--capacity", "0"], "vehicle_capacity"),
+    ],
+)
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):
+    inst_path = gen(tmp_path, n=10)
+    capsys.readouterr()
+    out = str(tmp_path / "out.json")
+    assert main([tok.format(inst=inst_path) for tok in argv] + ["--out", out]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert "Traceback" not in captured.err
 
 
 def test_help_exits_clean(capsys):

@@ -213,6 +213,33 @@ def test_long_chain_splits_to_cap():
     assert max(cluster_set.sizes()) <= 500
 
 
+@pytest.mark.parametrize("recursive", [False, True])
+def test_radius_zero_probe_clusters_coincident_points(recursive):
+    # coincident pairs 1 km apart: a 0 m radius joins each pair and no more
+    points = [east(1_000.0 * (i // 2)) for i in range(10)]
+    config = ClusterConfig(min_radius=0, max_radius=0, max_cluster_size=2)
+    if recursive:
+        cluster_set = recursive_dbscan(points, config)
+    else:
+        cluster_set, radius = binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
+        assert radius == 0
+    assert cluster_set.partition() == [[2 * k, 2 * k + 1] for k in range(5)]
+    assert [c.radius for c in cluster_set.clusters] == [0] * 5
+
+
+@pytest.mark.parametrize("recursive", [False, True])
+def test_radius_zero_probe_on_oversized_coincident_blocks_has_no_solution(recursive):
+    # two blocks of 5 coincident points, each over the cap at every radius,
+    # so the search probes down to 0 m and finds nothing feasible
+    points = [east(0)] * 5 + [east(1_000)] * 5
+    config = ClusterConfig(min_radius=0, max_radius=5, max_cluster_size=4)
+    with pytest.raises(NoSolutionFoundError):
+        if recursive:
+            recursive_dbscan(points, config)
+        else:
+            binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
+
+
 def test_coincident_block_fails_recursively():
     points = [east(0)] * 600
     with pytest.raises(NoSolutionFoundError):

@@ -14,7 +14,7 @@ from routeforge.dbscan import (
     pairwise_meters,
     spanning_tree,
 )
-from routeforge.geo import METERS_PER_RADIAN, GeoPoint, meters_to_radians
+from routeforge.geo import METERS_PER_RADIAN, GeoPoint
 
 EQUATOR_DEGREE_M = 111_195.0802335329
 
@@ -76,12 +76,13 @@ def as_partition(labels: ClusterLabels):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        DbscanParams(epsilon=0.0)
-    with pytest.raises(ValueError):
-        DbscanParams(epsilon=-1e-9)
-    with pytest.raises(ValueError):
-        DbscanParams(epsilon=math.inf)
+    assert DbscanParams(radius_m=0.0).radius_m == 0.0
+    for bad in (-1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DbscanParams(radius_m=bad)
+    # the radius was once an angle in radians: a call still passing one fails
+    with pytest.raises(TypeError):
+        DbscanParams(epsilon=1e-4)
 
 
 # --- dbscan ---
@@ -89,19 +90,19 @@ def test_params_validation():
 
 def test_empty_input_rejected():
     with pytest.raises(EmptyInputError):
-        dbscan([], DbscanParams(epsilon=1e-4))
+        dbscan([], DbscanParams(radius_m=100.0))
 
 
 def test_chain_within_epsilon_is_one_cluster():
     points = [east(0), east(50), east(100)]
-    labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(60)))
+    labels = dbscan(points, DbscanParams(radius_m=60))
     assert labels.n_clusters == 1
     assert set(labels.labels) == {0}
 
 
 def test_far_points_are_singletons():
     points = [east(0), east(500)]
-    labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(100)))
+    labels = dbscan(points, DbscanParams(radius_m=100))
     assert labels.n_clusters == 2
     assert labels.labels == (0, 1)
 
@@ -109,7 +110,7 @@ def test_far_points_are_singletons():
 def test_labels_are_contiguous_and_lowest_index_first():
     rng = np.random.default_rng(3)
     points = random_points(rng, 60, box_meters=800.0)
-    labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(120)))
+    labels = dbscan(points, DbscanParams(radius_m=120))
     assert labels.labels[0] == 0
     seen = set()
     order = []
@@ -126,18 +127,18 @@ def test_partition_matches_union_find_oracle(seed):
     n = int(rng.integers(20, 120))
     radius = float(rng.uniform(60, 500))
     points = random_points(rng, n, box_meters=1_500.0)
-    labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(radius)))
+    labels = dbscan(points, DbscanParams(radius_m=radius))
     assert as_partition(labels) == components_oracle(points, radius)
 
 
 def test_partition_is_permutation_stable():
     rng = np.random.default_rng(11)
     points = random_points(rng, 80)
-    eps = meters_to_radians(250)
-    base = as_partition(dbscan(points, DbscanParams(epsilon=eps)))
+    params = DbscanParams(radius_m=250)
+    base = as_partition(dbscan(points, params))
     perm = rng.permutation(len(points))
     shuffled = [points[i] for i in perm]
-    shuffled_part = as_partition(dbscan(shuffled, DbscanParams(epsilon=eps)))
+    shuffled_part = as_partition(dbscan(shuffled, params))
     remapped = {frozenset(int(perm[i]) for i in members) for members in shuffled_part}
     assert remapped == base
 
@@ -146,8 +147,8 @@ def test_smaller_epsilon_refines_partition():
     rng = np.random.default_rng(21)
     points = random_points(rng, 90)
     for r1, r2 in [(100, 300), (200, 800), (400, 401)]:
-        fine = as_partition(dbscan(points, DbscanParams(epsilon=meters_to_radians(r1))))
-        coarse = as_partition(dbscan(points, DbscanParams(epsilon=meters_to_radians(r2))))
+        fine = as_partition(dbscan(points, DbscanParams(radius_m=r1)))
+        coarse = as_partition(dbscan(points, DbscanParams(radius_m=r2)))
         for cluster in fine:
             assert any(cluster <= parent for parent in coarse)
 
@@ -155,14 +156,22 @@ def test_smaller_epsilon_refines_partition():
 def test_tree_cut_agrees_with_dense_path_above_2000():
     rng = np.random.default_rng(31)
     points = random_points(rng, 2_300, box_meters=20_000.0)
-    params = DbscanParams(epsilon=meters_to_radians(700))
+    params = DbscanParams(radius_m=700)
     assert dbscan(points, params).labels == dbscan(points, params, pairwise=pairwise_meters(points)).labels
 
 
 def test_identical_points_single_cluster():
     points = [east(0)] * 25
-    labels = dbscan(points, DbscanParams(epsilon=meters_to_radians(1)))
+    labels = dbscan(points, DbscanParams(radius_m=1))
     assert labels.n_clusters == 1
+
+
+def test_radius_zero_joins_only_coincident_points():
+    points = [east(0), east(0), east(0.001), east(50), east(50)]
+    params = DbscanParams(radius_m=0.0)
+    labels = dbscan(points, params)
+    assert labels.labels == (0, 0, 1, 2, 2)
+    assert labels == dbscan(points, params, pairwise=pairwise_meters(points))
 
 
 # --- spanning tree cuts against the dense reference ---
@@ -171,7 +180,7 @@ def test_identical_points_single_cluster():
 def test_tree_over_other_points_rejected():
     points = [east(0), east(50), east(100)]
     with pytest.raises(ValueError):
-        dbscan(points, DbscanParams(epsilon=meters_to_radians(60)), tree=spanning_tree(points[:2]))
+        dbscan(points, DbscanParams(radius_m=60), tree=spanning_tree(points[:2]))
     # a search whose probes are all infeasible still rejects the tree
     config = ClusterConfig(min_no_clusters=10)
     with pytest.raises(ValueError):
@@ -200,7 +209,7 @@ def test_antimeridian_cluster_is_not_split():
     points = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
     assert min(lon) < -179.99 and max(lon) > 179.99
 
-    params = DbscanParams(epsilon=meters_to_radians(150))
+    params = DbscanParams(radius_m=150)
     labels = dbscan(points, params)
     assert labels.labels == dbscan(points, params, pairwise=pairwise_meters(points)).labels
     assert labels.n_clusters == 1
@@ -242,10 +251,8 @@ def test_tree_cut_equals_dense_labels(data, drawn):
     n = len(points)
     # a free radius, and one that sits on a pairwise distance
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
-    for radius in (data.draw(st.floats(0.01, 2.0 * box)), float(dense[i, j])):
-        if radius <= 0.0:
-            continue
-        params = DbscanParams(epsilon=meters_to_radians(radius))
+    for radius in (data.draw(st.floats(0.0, 2.0 * box)), float(dense[i, j])):
+        params = DbscanParams(radius_m=radius)
         assert dbscan(points, params).labels == dbscan(points, params, pairwise=dense).labels
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from routeforge.geo import (
     METERS_PER_RADIAN,
     GeoPoint,
-    NegativeRadiusError,
+    h_meters,
     haversine_distance,
-    meters_to_radians,
+    haversine_h,
+    radian_arrays,
 )
 
 # One degree along the equator on the fixed sphere radius, R * pi / 180.
@@ -43,19 +44,6 @@ def test_harbour_scale_pair():
     assert d == pytest.approx(_law_of_cosines(a, b), abs=0.5)
 
 
-def test_meters_to_radians_values():
-    assert meters_to_radians(METERS_PER_RADIAN) == 1.0
-    assert meters_to_radians(0.0) == 0.0
-    # exact division by the sphere radius; the rounded literal is 2e-10 off
-    assert meters_to_radians(1_000.0) == 1_000.0 / METERS_PER_RADIAN
-    assert meters_to_radians(1_000.0) == pytest.approx(1.569609e-4, abs=2e-10)
-
-
-def test_negative_radius_rejected():
-    with pytest.raises(NegativeRadiusError):
-        meters_to_radians(-1.0)
-
-
 coords = st.tuples(
     st.floats(min_value=-85.0, max_value=85.0),
     st.floats(min_value=-179.0, max_value=179.0),
@@ -67,6 +55,17 @@ coords = st.tuples(
 def test_symmetry(p, q):
     a, b = GeoPoint(*p), GeoPoint(*q)
     assert haversine_distance(a, b) == haversine_distance(b, a)
+
+
+@given(coords, coords)
+@settings(max_examples=150, deadline=None)
+def test_array_kernel_agrees_with_scalar_reference(p, q):
+    # numpy's and math's sin may round apart by an ulp, which near the
+    # antipode moves the distance by centimeters
+    a, b = GeoPoint(*p), GeoPoint(*q)
+    meters = h_meters(haversine_h(*radian_arrays([a]), *radian_arrays([b])))
+    assert meters.shape == (1,)
+    assert meters[0] == pytest.approx(haversine_distance(a, b), rel=1e-8, abs=1e-6)
 
 
 @given(coords, coords, coords)
