@@ -67,6 +67,16 @@ def _config(cls, **kwargs):
         raise _UsageError(f"bad option value: {exc}") from exc
 
 
+def _waypoint_counts(text: str) -> list[int]:
+    """Parse --sizes: comma-separated positive waypoint counts."""
+    sizes = []
+    for tok in filter(None, text.split(",")):
+        if not tok.strip().isdecimal() or int(tok) < 1:
+            raise argparse.ArgumentTypeError(f"waypoint counts must be positive integers, got {tok!r}")
+        sizes.append(int(tok))
+    return sizes
+
+
 def _cluster_config(args) -> Optional[ClusterConfig]:
     names = ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size", "min_no_clusters")
     given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
@@ -181,7 +191,7 @@ def _cmd_bench(args) -> int:
     else:
         sizes, reps = list(DEFAULT_SIZES), DEFAULT_REPS
     if args.sizes:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok]
+        sizes = args.sizes
     if args.reps is not None:
         reps = args.reps
     if args.strategies:
@@ -280,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run the strategy comparison grid")
     p_bench.add_argument("--out", required=True, help="CSV output path")
-    p_bench.add_argument("--sizes", default=None, help="comma-separated waypoint counts")
+    p_bench.add_argument("--sizes", type=_waypoint_counts, default=None, help="comma-separated waypoint counts")
     p_bench.add_argument("--reps", type=int, default=None)
     p_bench.add_argument("--strategies", default=None, help="comma-separated subset of strategies")
     p_bench.add_argument("--full", action="store_true", help="500..5000 step 500, 15 repetitions")

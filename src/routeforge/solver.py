@@ -12,6 +12,13 @@ neighbor lists come from a partition over blocks of rows, while the local
 search reads single cells through per-row memoryviews.  The cells are
 still filled by the scalar geo.haversine_distance, one pair at a time, so
 they keep the exact bits that every plan was computed from.
+
+The local search keeps a table of every stop's position in its route and
+rebuilds it only for the routes that an accepted move changed, so a move
+evaluation is a few cell reads and float operations; route copies are made
+only for moves whose saving passes the step.  Its plans, evaluation and
+acceptance counts and listener deltas are bit for bit those of the plain
+list.index scan kept as the reference in the tests.
 """
 
 from __future__ import annotations
@@ -42,6 +49,13 @@ NEIGHBORS = 24
 # wall clock so that identical runs accept identical move sequences.
 EVALS_PER_MS = 700
 
+# The least distance in meters that an accepted move must save, whatever
+# optimization_step says.  A move's delta adds up at most eight cells of at
+# most half the Earth's circumference, so its rounding error stays below
+# 1e-7 m; without this floor a step of 0 accepts moves that save only
+# rounding noise, and the search cycles until its budget runs out.
+MIN_GAIN_M = 1e-6
+
 # Rows per block wherever a whole-matrix numpy pass would need an n^2
 # temporary: the matrix symmetrization and the neighbor partition.
 _ROW_BLOCK = 256
@@ -70,7 +84,7 @@ class SolverParams:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.optimization_step < 0:
+        if not self.optimization_step >= 0:
             raise ValueError("optimization_step must be non-negative")
         if self.solution_limit < 0:
             raise ValueError("solution_limit must be non-negative")
@@ -236,8 +250,15 @@ def local_search(
     Neighborhoods: intra-route 2-opt, intra-route relocate, inter-route
     relocate and inter-route swap.  A move is accepted only when it keeps the
     plan feasible and cuts the travelled distance by at least
-    optimization_step meters.  Terminates at a local optimum or when the
-    budget runs out, whichever comes first.
+    optimization_step meters, and never by less than MIN_GAIN_M.  Terminates
+    at a local optimum or when the budget runs out, whichever comes first.
+
+    A rejected evaluation is only cell reads and float arithmetic: stop
+    positions come from a table that is rebuilt only for the routes an
+    accepted move changed, u's removal cost is computed once per scan of its
+    neighbors, and a candidate route is built only for a delta that passes
+    the step.  Plans, counters and listener deltas are bit for bit those of
+    the plain scan kept as scalar_local_search in tests/test_solver.py.
     """
     n = instance.n_waypoints
     if n == 0 or not plan.routes:
@@ -257,13 +278,15 @@ def local_search(
         demand[w.id] = w.demand
 
     routes: list[_WorkRoute] = []
-    route_of = [-1] * (n + 1)
+    route_of: list[Optional[_WorkRoute]] = [None] * (n + 1)
+    pos = [0] * (n + 1)
     for route in plan.routes:
         stops = [s.waypoint_id for s in route.stops]
         load = sum(demand[j] for j in stops)
         work = _WorkRoute(route.vehicle_id, instance.vehicle(route.vehicle_id).capacity, stops, load)
-        for j in stops:
-            route_of[j] = len(routes)
+        for k, j in enumerate(stops):
+            route_of[j] = work
+            pos[j] = k
         routes.append(work)
 
     neighbors = _nearest_neighbors(matrix.array, n, NEIGHBORS)
@@ -298,13 +321,15 @@ def local_search(
             out.append(Route(work.vehicle_id, e0, tuple(stops)))
         return RoutePlan(tuple(out))
 
-    step = params.optimization_step
+    # A move is accepted only when its delta is at most this.
+    max_delta = -max(params.optimization_step, MIN_GAIN_M)
     quota = params.time_limit_ms * EVALS_PER_MS
+    limit = params.solution_limit
     evals = 0
     accepted = 0
-    out_of_budget = params.solution_limit == 0 or quota == 0
+    out_of_budget = limit == 0 or quota == 0
 
-    covered = [u for u in range(1, n + 1) if route_of[u] >= 0]
+    covered = [u for u in range(1, n + 1) if route_of[u] is not None]
     m = len(covered)
     if m == 0:
         return materialize()
@@ -316,151 +341,161 @@ def local_search(
     for u in queue:
         queued[u] = True
 
-    def requeue(wid: int) -> None:
-        if wid > 0 and not queued[wid]:
-            queued[wid] = True
-            queue.append(wid)
-
-    def budget_left() -> bool:
-        nonlocal out_of_budget
-        if out_of_budget:
-            return False
-        if evals >= quota or accepted >= params.solution_limit:
-            out_of_budget = True
-            return False
-        return True
-
-    def _arc(a: int, b: int) -> float:
-        return rows[a][b] if b >= 0 else 0.0
-
-    def _accept(delta: float, touched: tuple) -> None:
-        nonlocal accepted
-        accepted += 1
-        for wid in touched:
-            if wid > 0:
-                requeue(wid)
-        if move_listener is not None:
-            move_listener(materialize(), delta)
-
-    def _two_opt(r1: _WorkRoute, p1: int, p2: int, u: int, v: int) -> bool:
-        stops1 = r1.stops
-        i, j = (p1, p2) if p1 < p2 else (p2, p1)
-        prev_i = stops1[i - 1] if i > 0 else 0
-        next_j = stops1[j + 1] if j + 1 < len(stops1) else -1
-        delta = rows[prev_i][stops1[j]] - rows[prev_i][stops1[i]]
-        if next_j >= 0:
-            delta += rows[stops1[i]][next_j] - rows[stops1[j]][next_j]
-        if delta > -step:
-            return False
-        candidate = stops1[:i] + stops1[i : j + 1][::-1] + stops1[j + 1 :]
-        if not schedule_ok(candidate):
-            return False
-        head, tail = stops1[i], stops1[j]
-        r1.stops = candidate
-        _accept(delta, (prev_i, head, tail, next_j, u, v))
-        return True
-
-    def _relocate(
-        r1: _WorkRoute, p1: int, r2: _WorkRoute, r2_index: int, anchor: int, u: int, after: bool
-    ) -> bool:
-        stops1 = r1.stops
-        prev_u = stops1[p1 - 1] if p1 > 0 else 0
-        next_u = stops1[p1 + 1] if p1 + 1 < len(stops1) else -1
-        removal = rows[prev_u][u] + _arc(u, next_u) - _arc(prev_u, next_u)
-
-        if r1 is r2:
-            trimmed = stops1[:p1] + stops1[p1 + 1 :]
-        else:
-            trimmed = r2.stops
-        at = trimmed.index(anchor)
-        insert_at = at + 1 if after else at
-        a = trimmed[insert_at - 1] if insert_at > 0 else 0
-        b = trimmed[insert_at] if insert_at < len(trimmed) else -1
-        insertion = rows[a][u] + _arc(u, b) - _arc(a, b)
-        delta = insertion - removal
-        if delta > -step:
-            return False
-
-        candidate = trimmed[:insert_at] + [u] + trimmed[insert_at:]
-        if not schedule_ok(candidate):
-            return False
-        if r1 is r2:
-            r1.stops = candidate
-        else:
-            r1.stops = stops1[:p1] + stops1[p1 + 1 :]
-            r2.stops = candidate
-            r1.load -= demand[u]
-            r2.load += demand[u]
-            route_of[u] = r2_index
-        _accept(delta, (prev_u, next_u, u, a, b))
-        return True
-
-    def _swap(r1: _WorkRoute, p1: int, r2: _WorkRoute, p2: int, u: int, v: int) -> bool:
-        if r1.load - demand[u] + demand[v] > r1.capacity:
-            return False
-        if r2.load - demand[v] + demand[u] > r2.capacity:
-            return False
-        stops1, stops2 = r1.stops, r2.stops
-        prev1 = stops1[p1 - 1] if p1 > 0 else 0
-        next1 = stops1[p1 + 1] if p1 + 1 < len(stops1) else -1
-        prev2 = stops2[p2 - 1] if p2 > 0 else 0
-        next2 = stops2[p2 + 1] if p2 + 1 < len(stops2) else -1
-        delta = (
-            rows[prev1][v] + _arc(v, next1) - rows[prev1][u] - _arc(u, next1)
-            + rows[prev2][u] + _arc(u, next2) - rows[prev2][v] - _arc(v, next2)
-        )
-        if delta > -step:
-            return False
-        cand1 = stops1[:p1] + [v] + stops1[p1 + 1 :]
-        cand2 = stops2[:p2] + [u] + stops2[p2 + 1 :]
-        if not (schedule_ok(cand1) and schedule_ok(cand2)):
-            return False
-        r1.stops = cand1
-        r2.stops = cand2
-        r1.load += demand[v] - demand[u]
-        r2.load += demand[u] - demand[v]
-        route_of[u], route_of[v] = route_of[v], route_of[u]
-        _accept(delta, (prev1, next1, prev2, next2, u, v))
-        return True
-
-    def try_improve(u: int) -> bool:
-        """Scan candidate moves around waypoint u; apply the first winner."""
-        nonlocal evals
-        r1_index = route_of[u]
-        r1 = routes[r1_index]
-        stops1 = r1.stops
-        p1 = stops1.index(u)
-        for v in neighbors[u]:
-            if not budget_left():
-                return False
-            r2_index = route_of[v]
-            r2 = routes[r2_index]
-            if r2 is r1:
-                p2 = stops1.index(v)
-                evals += 1
-                if _two_opt(r1, p1, p2, u, v):
-                    return True
-                for after in (True, False):
-                    evals += 1
-                    if _relocate(r1, p1, r1, r1_index, v, u, after):
-                        return True
-            else:
-                p2 = r2.stops.index(v)
-                fits = r2.load + demand[u] <= r2.capacity
-                for after in (True, False):
-                    evals += 1
-                    if fits and _relocate(r1, p1, r2, r2_index, v, u, after):
-                        return True
-                evals += 1
-                if _swap(r1, p1, r2, p2, u, v):
-                    return True
-        return False
-
+    # An absent next stop (-1) ends an open route, and the arc to it costs
+    # 0.0.  Where the reference adds and subtracts that 0.0, the terms are
+    # left out: every cell is >= +0.0, so x + 0.0 - 0.0 == x bit for bit.
     while queue and not out_of_budget:
         u = queue.popleft()
         queued[u] = False
-        if try_improve(u):
-            requeue(u)
+        # The budget is checked before each neighbor.  No move is accepted
+        # during one scan, so a spent solution_limit is a cap of 0.
+        cap = quota if accepted < limit else 0
+        r1 = route_of[u]
+        stops1 = r1.stops
+        last1 = len(stops1) - 1
+        p1 = pos[u]
+        prev_u = stops1[p1 - 1] if p1 else 0
+        row_u = rows[u]
+        row_pu = rows[prev_u]
+        cost_pu = row_pu[u]
+        if p1 < last1:
+            next_u = stops1[p1 + 1]
+            cost_un = row_u[next_u]
+            removal = cost_pu + cost_un - row_pu[next_u]
+        else:
+            next_u = -1
+            cost_un = 0.0
+            removal = cost_pu
+        demand_u = demand[u]
+        touched = None
+        for v in neighbors[u]:
+            if evals >= cap:
+                out_of_budget = True
+                break
+            r2 = route_of[v]
+            p2 = pos[v]
+            row_v = rows[v]
+            if r2 is r1:
+                # 2-opt: reverse the segment from u to v.
+                evals += 1
+                i, j = (p1, p2) if p1 < p2 else (p2, p1)
+                head = stops1[i]
+                tail = stops1[j]
+                prev_i = stops1[i - 1] if i else 0
+                row = rows[prev_i]
+                delta = row[tail] - row[head]
+                if j < last1:
+                    next_j = stops1[j + 1]
+                    delta += rows[head][next_j] - rows[tail][next_j]
+                else:
+                    next_j = -1
+                if delta <= max_delta:
+                    candidate = stops1[:i] + stops1[i : j + 1][::-1] + stops1[j + 1 :]
+                    if schedule_ok(candidate):
+                        r1.stops = candidate
+                        touched = (prev_i, head, tail, next_j, u, v)
+                        break
+                # Relocate u right after v, before v's successor once u is out.
+                evals += 1
+                b = next_u if p2 + 1 == p1 else stops1[p2 + 1] if p2 < last1 else -1
+                if b >= 0:
+                    delta = row_v[u] + row_u[b] - row_v[b] - removal
+                else:
+                    delta = row_v[u] - removal
+                if delta <= max_delta:
+                    trimmed = stops1[:p1] + stops1[p1 + 1 :]
+                    at = p2 + 1 if p2 < p1 else p2
+                    candidate = trimmed[:at] + [u] + trimmed[at:]
+                    if schedule_ok(candidate):
+                        r1.stops = candidate
+                        touched = (prev_u, next_u, u, v, b)
+                        break
+                # Relocate u right before v, after v's predecessor once u is out.
+                evals += 1
+                a = prev_u if p2 - 1 == p1 else stops1[p2 - 1] if p2 else 0
+                row_a = rows[a]
+                delta = row_a[u] + row_u[v] - row_a[v] - removal
+                if delta <= max_delta:
+                    trimmed = stops1[:p1] + stops1[p1 + 1 :]
+                    at = p2 if p2 < p1 else p2 - 1
+                    candidate = trimmed[:at] + [u] + trimmed[at:]
+                    if schedule_ok(candidate):
+                        r1.stops = candidate
+                        touched = (prev_u, next_u, u, a, v)
+                        break
+                continue
+
+            stops2 = r2.stops
+            last2 = len(stops2) - 1
+            prev_v = stops2[p2 - 1] if p2 else 0
+            next_v = stops2[p2 + 1] if p2 < last2 else -1
+            row_pv = rows[prev_v]
+            if r2.load + demand_u <= r2.capacity:
+                # Relocate u into v's route, right after v, then right before.
+                evals += 1
+                if next_v >= 0:
+                    delta = row_v[u] + row_u[next_v] - row_v[next_v] - removal
+                else:
+                    delta = row_v[u] - removal
+                if delta <= max_delta:
+                    candidate = stops2[: p2 + 1] + [u] + stops2[p2 + 1 :]
+                    if schedule_ok(candidate):
+                        touched = (prev_u, next_u, u, v, next_v)
+                if touched is None:
+                    evals += 1
+                    delta = row_pv[u] + row_u[v] - row_pv[v] - removal
+                    if delta <= max_delta:
+                        candidate = stops2[:p2] + [u] + stops2[p2:]
+                        if schedule_ok(candidate):
+                            touched = (prev_u, next_u, u, prev_v, v)
+                if touched is not None:
+                    r1.stops = stops1[:p1] + stops1[p1 + 1 :]
+                    r2.stops = candidate
+                    r1.load -= demand_u
+                    r2.load += demand_u
+                    route_of[u] = r2
+                    break
+            else:
+                evals += 2
+            # Swap u and v.
+            evals += 1
+            demand_v = demand[v]
+            if (
+                r1.load - demand_u + demand_v <= r1.capacity
+                and r2.load - demand_v + demand_u <= r2.capacity
+            ):
+                delta = (
+                    row_pu[v] + (row_v[next_u] if next_u >= 0 else 0.0) - cost_pu - cost_un
+                    + row_pv[u] + (row_u[next_v] if next_v >= 0 else 0.0)
+                    - row_pv[v] - (row_v[next_v] if next_v >= 0 else 0.0)
+                )
+                if delta <= max_delta:
+                    cand1 = stops1[:p1] + [v] + stops1[p1 + 1 :]
+                    cand2 = stops2[:p2] + [u] + stops2[p2 + 1 :]
+                    if schedule_ok(cand1) and schedule_ok(cand2):
+                        r1.stops = cand1
+                        r2.stops = cand2
+                        r1.load += demand_v - demand_u
+                        r2.load += demand_u - demand_v
+                        route_of[u] = r2
+                        route_of[v] = r1
+                        touched = (prev_u, next_u, prev_v, next_v, u, v)
+                        break
+
+        if touched is None:
+            continue
+        accepted += 1
+        for wid in touched:
+            if wid > 0 and not queued[wid]:
+                queued[wid] = True
+                queue.append(wid)
+        for k, wid in enumerate(r1.stops):
+            pos[wid] = k
+        if r2 is not r1:
+            for k, wid in enumerate(r2.stops):
+                pos[wid] = k
+        if move_listener is not None:
+            move_listener(materialize(), delta)
 
     if stats is not None:
         stats["evals"] = evals

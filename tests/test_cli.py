@@ -247,6 +247,10 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         (["solve", "{inst}", "--time-limit-ms", "-5"], "time_limit_ms"),
         (["solve", "{inst}", "--optimization-step", "-1"], "optimization_step"),
         (["bench", "--sizes", "30", "--reps", "1", "--capacity", "0"], "vehicle_capacity"),
+        (["bench", "--sizes", "30,x", "--reps", "1"], "positive integers, got 'x'"),
+        (["bench", "--sizes", "0", "--reps", "1"], "positive integers, got '0'"),
+        (["bench", "--sizes", "-3", "--reps", "1"], "positive integers, got '-3'"),
+        (["solve", "{inst}", "--optimization-step", "nan"], "optimization_step"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):
