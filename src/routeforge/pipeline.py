@@ -14,6 +14,13 @@ vehicles 1..k is exactly the plan the in-order solve would find whenever the
 first k free vehicles have the same capacities, in order.  Any other cluster
 is solved again in order against the free pool, so plans and errors are the
 same on any number of CPUs.
+
+Each pool worker starts on a CPU of its own: it takes one CPU of the usable
+set from a queue, sets its affinity to that CPU alone, then restores the
+set it inherited.  Left to the scheduler, both workers of a two-CPU pool
+can share one CPU for a whole pool phase; restoring the set still lets the
+scheduler move a worker off a CPU that another process keeps busy.  Where
+the affinity calls fail, the worker runs where it started.
 """
 
 from __future__ import annotations
@@ -109,10 +116,21 @@ _presolve_job: Optional[tuple[ProblemInstance, list[list[int]], SolverParams]] =
 
 
 def _presolve_init(
-    instance: ProblemInstance, members: list[list[int]], params: SolverParams
+    instance: ProblemInstance,
+    members: list[list[int]],
+    params: SolverParams,
+    cpus: multiprocessing.queues.SimpleQueue,
 ) -> None:
     global _presolve_job
     _presolve_job = (instance, members, params)
+    # Placed, not pinned: see the module docstring.
+    cpu = cpus.get()
+    try:
+        inherited = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, inherited)
+    except OSError:
+        pass
 
 
 def _presolve(index: int) -> _SubSolve:
@@ -147,12 +165,16 @@ def optimise_clusters(
     # A daemonic process (a multiprocessing.Pool worker) may not start children.
     if workers <= 1 or multiprocessing.current_process().daemon:
         return _assign_vehicles(instance, members, params, itertools.repeat(None))
-    pool = multiprocessing.get_context("fork").Pool(
-        workers, _presolve_init, (instance, members, params)
-    )
-    with pool:
-        presolved = pool.imap(_presolve, range(len(members)))
-        return _assign_vehicles(instance, members, params, presolved)
+    context = multiprocessing.get_context("fork")
+    cpus = context.SimpleQueue()
+    for cpu in sorted(os.sched_getaffinity(0))[:workers]:
+        cpus.put(cpu)
+    try:
+        with context.Pool(workers, _presolve_init, (instance, members, params, cpus)) as pool:
+            presolved = pool.imap(_presolve, range(len(members)))
+            return _assign_vehicles(instance, members, params, presolved)
+    finally:
+        cpus.close()
 
 
 def _assign_vehicles(
@@ -216,7 +238,9 @@ def run_strategy(
     """Run one solve strategy end to end and report plan plus metrics.
 
     Wall time covers clustering and routing together.  On failure the raised
-    NoSolutionFoundError carries the elapsed wall time.
+    NoSolutionFoundError carries the elapsed wall time.  The returned plan
+    always passes the solution validator: this is the one validation of a
+    solve, made on the plan merged over every cluster.
     """
     cluster_config = cluster_config or ClusterConfig()
     params = params or SolverParams()

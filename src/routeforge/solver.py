@@ -9,9 +9,11 @@ its input and settings; no wall clock enters the solve.
 Each solve builds one C-contiguous float64 distance array.  The greedy
 construction takes one masked argmin over an array row per step and the
 neighbor lists come from a partition over blocks of rows, while the local
-search reads single cells through per-row memoryviews.  The cells are
-still filled by the scalar geo.haversine_distance, one pair at a time, so
-they keep the exact bits that every plan was computed from.
+search reads single cells through per-row memoryviews.  The cells come
+from geo.haversine_upper, a block kernel whose every cell equals the scalar
+geo.haversine_distance to the last bit, so plans keep the exact bits they
+had when each cell was one scalar call.  The solver does not validate its
+plans; pipeline.run_strategy validates the plan it returns.
 
 The local search keeps a table of every stop's position in its route and
 rebuilds it only for the routes that an accepted move changed, so a move
@@ -24,20 +26,23 @@ list.index scan kept as the reference in the tests.
 from __future__ import annotations
 
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .geo import haversine_distance
+from .geo import haversine_upper
 from .model import (
     ProblemInstance,
     Route,
     RoutePlan,
     StopVisit,
-    validate_solution,
 )
+
+# Not called here: solve_cvrptw leaves validation to pipeline.run_strategy.
+# The name stays importable because perfbench/tracer.py wraps it.
+from .model import validate_solution  # noqa: F401
 
 # Candidate moves are only generated between a stop and its nearest neighbors;
 # this bounds the scan cost per stop without measurably hurting quality at the
@@ -121,16 +126,13 @@ class DistanceMatrix:
 def build_matrix(instance: ProblemInstance) -> DistanceMatrix:
     """Full node distance matrix for one instance.
 
-    Every cell is a geo.haversine_distance call, the scalar reference
-    kernel.  Only the upper triangle is computed; adding the transpose
-    mirrors it exactly, because x + 0.0 == x.
+    Every cell equals geo.haversine_distance, the scalar reference kernel,
+    to the last bit: geo.haversine_upper fills the upper triangle block by
+    block.  Adding the transpose mirrors it exactly, because x + 0.0 == x.
     """
     points = [instance.depot.location] + [w.location for w in instance.waypoints]
     n = len(points)
-    arr = np.zeros((n, n))
-    for i in range(n - 1):
-        p_i = points[i]
-        arr[i, i + 1 :] = [haversine_distance(p_i, q) for q in points[i + 1 :]]
+    arr = haversine_upper(points)
     # Block by rows so that the transpose's copy stays small: rows a..b
     # read only columns a..b, which no earlier block wrote.
     for a in range(0, n, _ROW_BLOCK):
@@ -237,6 +239,23 @@ def _nearest_neighbors(arr: np.ndarray, n: int, k: int) -> list[list[int]]:
     return out
 
 
+def _check_visits_once(plan: RoutePlan, n: int) -> None:
+    """Raise ValueError unless the plan visits waypoints 1..n once each."""
+    visits = Counter(stop.waypoint_id for route in plan.routes for stop in route.stops)
+    problems = []
+    missing = [wid for wid in range(1, n + 1) if wid not in visits]
+    if missing:
+        problems.append(f"missing {missing}")
+    twice = sorted(wid for wid, count in visits.items() if count > 1 and 1 <= wid <= n)
+    if twice:
+        problems.append(f"visited twice {twice}")
+    unknown = sorted(wid for wid in visits if not 1 <= wid <= n)
+    if unknown:
+        problems.append(f"unknown {unknown}")
+    if problems:
+        raise ValueError(f"start plan must visit waypoints 1..{n} once each: {'; '.join(problems)}")
+
+
 def local_search(
     plan: RoutePlan,
     instance: ProblemInstance,
@@ -246,6 +265,9 @@ def local_search(
     stats: Optional[dict] = None,
 ) -> RoutePlan:
     """Improve a feasible plan with first-improvement neighborhood moves.
+
+    The plan must visit every waypoint exactly once; otherwise ValueError
+    names the waypoints that are missing, visited twice or unknown.
 
     Neighborhoods: intra-route 2-opt, intra-route relocate, inter-route
     relocate and inter-route swap.  A move is accepted only when it keeps the
@@ -261,7 +283,8 @@ def local_search(
     the plain scan kept as scalar_local_search in tests/test_solver.py.
     """
     n = instance.n_waypoints
-    if n == 0 or not plan.routes:
+    _check_visits_once(plan, n)
+    if n == 0:
         return plan
 
     rows = matrix.rows
@@ -329,17 +352,11 @@ def local_search(
     accepted = 0
     out_of_budget = limit == 0 or quota == 0
 
-    covered = [u for u in range(1, n + 1) if route_of[u] is not None]
-    m = len(covered)
-    if m == 0:
-        return materialize()
     # The scan starts at a seed-dependent offset; everything after that is a
     # fixed deterministic order.
-    offset = random.Random(params.rng_seed).randrange(m)
-    queue = deque(covered[offset:] + covered[:offset])
-    queued = [False] * (n + 1)
-    for u in queue:
-        queued[u] = True
+    offset = random.Random(params.rng_seed).randrange(n)
+    queue = deque([*range(offset + 1, n + 1), *range(1, offset + 1)])
+    queued = [True] * (n + 1)
 
     # An absent next stop (-1) ends an open route, and the arc to it costs
     # 0.0.  Where the reference adds and subtracts that 0.0, the terms are
@@ -511,7 +528,8 @@ def solve_cvrptw(
     """Construct and polish a plan; returns it with the set of busy vehicles.
 
     Raises InfeasibleError when the fleet cannot cover every waypoint.  The
-    returned plan always passes the solution validator.
+    plan is not validated here: pipeline.run_strategy validates the plan it
+    returns, merged over every cluster, once per solve.
     """
     params = params or SolverParams()
     if instance.n_waypoints == 0:
@@ -519,7 +537,4 @@ def solve_cvrptw(
     matrix = build_matrix(instance)
     plan = path_cheapest_arc(instance, matrix)
     plan = local_search(plan, instance, matrix, params)
-    violations = validate_solution(plan, instance)
-    if violations:
-        raise RuntimeError(f"internal error: solver produced invalid plan: {violations[:3]}")
     return plan, plan.busy_vehicles

@@ -277,3 +277,63 @@ def test_thread_cap_solves_in_process(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_cvrptw", counted)
     assert two_cluster_plan(9) is not None
     assert sorted(solves) == [10, 10]
+
+
+# --- worker placement ---
+
+
+def drain(queue) -> list:
+    items = []
+    while not queue.empty():
+        items.append(queue.get())
+    return items
+
+
+@pytest.mark.skipif(
+    len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 usable CPUs"
+)
+def test_pool_workers_start_on_distinct_cpus(monkeypatch):
+    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
+    allowed = os.sched_getaffinity(0)
+    calls = multiprocessing.get_context("fork").SimpleQueue()
+    set_affinity = os.sched_setaffinity
+
+    def logged(pid, mask):
+        set_affinity(pid, mask)
+        # field 39 of /proc/self/stat: the CPU the process runs on
+        with open("/proc/self/stat") as stat:
+            cpu = int(stat.read().rsplit(")", 1)[1].split()[36])
+        calls.put((os.getpid(), set(mask), cpu, os.sched_getaffinity(0)))
+
+    monkeypatch.setattr(os, "sched_setaffinity", logged)
+    plan = two_cluster_plan(9)
+    by_worker: dict[int, list] = {}
+    for pid, mask, cpu, after in drain(calls):
+        by_worker.setdefault(pid, []).append((mask, cpu, after))
+    assert len(by_worker) == 2
+    taken = []
+    for (first, cpu, _), (restored, _, after) in by_worker.values():
+        assert first == {cpu}
+        assert restored == after == allowed
+        taken.append(cpu)
+    assert sorted(taken) == sorted(allowed)[:2]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert two_cluster_plan(9) == plan
+
+
+def test_failed_placement_leaves_the_pool_working(monkeypatch):
+    calls = multiprocessing.get_context("fork").SimpleQueue()
+
+    def refused(pid, mask):
+        calls.put(set(mask))
+        raise PermissionError("sched_setaffinity refused")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refused, raising=False)
+    rng = np.random.default_rng(9)
+    instance = grid_instance(rng, 20, 4, 10, centers=[(0.0, 0.0), (0.0, 0.05)])
+    (pooled, resolved), (serial, _) = solve_pooled_and_serial(
+        monkeypatch, lambda: optimise_clusters(split_clusters(instance, 10), instance)
+    )
+    assert sorted(drain(calls), key=min) == [{0}, {1}]
+    assert pooled == serial
+    assert resolved == 0

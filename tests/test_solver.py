@@ -3,12 +3,14 @@ import pickle
 import random
 from collections import deque
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routeforge import geo
 from routeforge.bench import GeneratorConfig, WindowStyle, generate_instance
 from routeforge.geo import METERS_PER_RADIAN, GeoPoint, haversine_distance
 from routeforge.model import (
@@ -30,6 +32,7 @@ from routeforge.solver import (
     EVALS_PER_MS,
     MIN_GAIN_M,
     NEIGHBORS,
+    _ROW_BLOCK,
     DistanceMatrix,
     InfeasibleError,
     SolverParams,
@@ -327,6 +330,27 @@ def test_zero_step_rejects_null_moves_and_converges():
     assert all(d <= -MIN_GAIN_M for d in deltas)
     assert evaluate_objective(out, instance) < evaluate_objective(start, instance)
     assert validate_solution(out, instance) == []
+
+
+@pytest.mark.parametrize(
+    "routes, n_vehicles, problem",
+    [
+        ([[2, 1, 3]], 1, r"missing \[4\]"),
+        ([[2, 1, 3], [4, 2]], 2, r"visited twice \[2\]"),
+        ([], 1, r"missing \[1, 2, 3, 4\]"),
+    ],
+)
+def test_search_rejects_a_plan_that_skips_or_repeats_a_waypoint(routes, n_vehicles, problem):
+    instance = make_instance([100.0, 200.0, 300.0, 400.0], n_vehicles=n_vehicles)
+    with pytest.raises(ValueError, match=problem):
+        local_search(RoutePlanFrom(instance, routes), instance, build_matrix(instance), SolverParams())
+
+
+def test_search_rejects_an_unknown_waypoint():
+    instance = make_instance([100.0, 200.0], n_vehicles=1)
+    bare = Route(1, 0.0, tuple(StopVisit(i, 0.0, 0.0) for i in (1, 2, 5)))
+    with pytest.raises(ValueError, match=r"unknown \[5\]"):
+        local_search(RoutePlan((bare,)), instance, build_matrix(instance), SolverParams())
 
 
 # --- end to end ---
@@ -688,6 +712,60 @@ def test_matrix_cells_are_the_scalar_kernel_bit_for_bit(drawn):
             got = matrix.d(i, j)
             assert type(got) is float
             assert got == haversine_distance(p, nodes[j])
+
+
+def scalar_build_matrix(instance):
+    """build_matrix with one geo.haversine_distance call per cell, the
+    reference for the block kernel geo.haversine_upper."""
+    points = [instance.depot.location] + [w.location for w in instance.waypoints]
+    n = len(points)
+    arr = np.zeros((n, n))
+    for i in range(n - 1):
+        p_i = points[i]
+        arr[i, i + 1 :] = [haversine_distance(p_i, q) for q in points[i + 1 :]]
+    for a in range(0, n, _ROW_BLOCK):
+        b = a + _ROW_BLOCK
+        arr[a:b, :b] += arr[:b, a:b].T
+    arr[:, 0] = 0.0
+    return DistanceMatrix(arr)
+
+
+# Coordinates where the kernel's steps are most likely to part from the
+# scalar ones: the poles, the antimeridian, signed zeros and subnormals.
+EDGE_LATS = [90.0, -90.0, 89.99999999, 0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308]
+EDGE_LONS = [180.0, -180.0, 179.99999999, -179.99999999, 0.0, -0.0, 5e-324, -2.2250738585072014e-308]
+globe_points = st.builds(
+    GeoPoint,
+    st.one_of(st.sampled_from(EDGE_LATS), st.floats(-90.0, 90.0)),
+    st.one_of(st.sampled_from(EDGE_LONS), st.floats(-180.0, 180.0)),
+)
+
+
+@st.composite
+def globe_nodes(draw):
+    """A depot and 0-70 waypoints anywhere on the globe, some of them
+    copies of others."""
+    n = draw(st.integers(0, 70))
+    nodes = draw(st.lists(globe_points, min_size=n + 1, max_size=n + 1))
+    for src, dst in draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=n)):
+        nodes[dst] = nodes[src]
+    return nodes
+
+
+@settings(max_examples=300, deadline=None)
+@given(nodes=globe_nodes(), block=st.sampled_from([1, 2, 7, 100, geo._UPPER_BLOCK]))
+def test_matrix_equals_scalar_build_bit_for_bit(nodes, block):
+    # a small block makes the kernel run many blocks, down to one row each
+    instance = instance_on(nodes, np.random.default_rng(0))
+    with mock.patch.object(geo, "_UPPER_BLOCK", block):
+        fast = build_matrix(instance).array
+    assert fast.tobytes() == scalar_build_matrix(instance).array.tobytes()
+
+
+def test_matrix_equals_scalar_build_on_generated_instance():
+    # several full 32k-cell blocks and a short last one
+    instance = generate_instance(GeneratorConfig(n_waypoints=400, seed=5))
+    assert build_matrix(instance).array.tobytes() == scalar_build_matrix(instance).array.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
