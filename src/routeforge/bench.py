@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .clusterer import ClusterConfig, NoSolutionFoundError, RecursionLimitError
+from .clusterer import ClusterConfig, NoSolutionFoundError
 from .geo import GeoPoint, haversine_distance
 from .model import (
     Depot,
@@ -196,7 +196,7 @@ def _run_inprocess(instance, strategy, cluster_config, params):
     started = time.perf_counter()
     try:
         result = run_strategy(instance, strategy, cluster_config=cluster_config, params=params)
-    except (NoSolutionFoundError, RecursionLimitError):
+    except NoSolutionFoundError:
         return RunStatus.NO_SOLUTION, time.perf_counter() - started, None, None, None
     except MemoryError:
         return RunStatus.CRASHED_BUDGET, time.perf_counter() - started, None, None, None
@@ -399,7 +399,7 @@ def export_csv(records: Iterable[BenchRecord], path: str) -> None:
                         if record is None or record.status is not RunStatus.OK:
                             row.append("-")
                         elif prefix == "runtime":
-                            row.append(f"{record.runtime_s:.2f}")
+                            row.append(f"{record.runtime_s:.6f}")
                         elif prefix == "distance":
                             row.append(str(record.distance_m))
                         else:

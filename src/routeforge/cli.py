@@ -33,7 +33,6 @@ from .clusterer import (
     ClusterSet,
     Feasibility,
     NoSolutionFoundError,
-    RecursionLimitError,
     binary_search_clusters,
     recursive_dbscan,
 )
@@ -140,7 +139,7 @@ def _cmd_solve(args) -> int:
             cluster_config=_cluster_config(args),
             params=_solver_params(args),
         )
-    except (NoSolutionFoundError, RecursionLimitError) as exc:
+    except NoSolutionFoundError as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
     save_plan(result.plan, args.out)
@@ -165,7 +164,7 @@ def _cmd_cluster(args) -> int:
             cluster_set, radius = binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
         else:
             cluster_set = recursive_dbscan(points, config)
-    except (NoSolutionFoundError, RecursionLimitError) as exc:
+    except NoSolutionFoundError as exc:
         print(f"no clustering: {exc}", file=sys.stderr)
         return 1
     doc = {

@@ -34,14 +34,14 @@ RECURSION_LIMIT = 32
 
 
 class NoSolutionFoundError(Exception):
-    """Raised when no radius in the search range satisfies the feasibility test."""
+    """Raised when a solve finds no plan; run_strategy sets its wall time."""
 
     def __init__(self, message: str):
         super().__init__(message)
         self.wall_time_ms: Optional[float] = None
 
 
-class RecursionLimitError(Exception):
+class RecursionLimitError(NoSolutionFoundError):
     """Raised when the decomposition recurses implausibly deep."""
 
 

@@ -1,9 +1,9 @@
 """Cluster-then-route orchestration.
 
-A clustered strategy carves the waypoint set into groups, then solves one
-sub-instance per group against the shrinking pool of still-free vehicles.
-Larger clusters go first so they see the widest vehicle choice; the order is
-fully deterministic.
+Every strategy runs one loop: one sub-instance per group of waypoints, solved
+in order against the shrinking pool of still-free vehicles.  MONOLITHIC is one
+group of every waypoint.  A clustered strategy carves density clusters, larger
+ones first so they see the widest vehicle choice; the order is deterministic.
 
 The sub-solves run ahead of that order on every usable CPU, each against the
 whole fleet.  A sub-solve sees the fleet only through the capacities of the
@@ -69,20 +69,24 @@ class PipelineResult:
     peak_cluster_size: int
 
 
-def _sub_instance(
-    instance: ProblemInstance, member_indices: list[int], free_vehicle_ids: list[int]
-) -> ProblemInstance:
-    """Build a dense-id instance over one cluster and the free fleet: ids
-    1.. go to the sorted members and to the sorted free vehicles."""
+def _sub_solve(
+    instance: ProblemInstance, members: list[int], vehicle_ids: list[int], params: SolverParams
+) -> _SubSolve:
+    """Solve one cluster against the given vehicles as a dense-id instance:
+    ids 1.. go to the sorted members and to the sorted vehicles."""
     waypoints = tuple(
         replace(instance.waypoints[idx], id=new_id)
-        for new_id, idx in enumerate(sorted(member_indices), start=1)
+        for new_id, idx in enumerate(sorted(members), start=1)
     )
     vehicles = tuple(
         replace(instance.vehicle(original_id), id=new_id)
-        for new_id, original_id in enumerate(sorted(free_vehicle_ids), start=1)
+        for new_id, original_id in enumerate(sorted(vehicle_ids), start=1)
     )
-    return ProblemInstance(instance.depot, waypoints, vehicles, instance.travel)
+    sub = ProblemInstance(instance.depot, waypoints, vehicles, instance.travel)
+    try:
+        return solve_cvrptw(sub, params)
+    except InfeasibleError as exc:
+        return exc
 
 
 def _worker_cap(requested: int) -> int:
@@ -104,8 +108,8 @@ def _usable_cpus() -> int:
     return _worker_cap(cpus)
 
 
-# A sub-solve's plan and busy vehicles, or why it was infeasible.
-_SubSolve = Union[tuple[RoutePlan, frozenset[int]], InfeasibleError]
+# A sub-solve's plan, or why it was infeasible.
+_SubSolve = Union[RoutePlan, InfeasibleError]
 
 # What a pool worker pre-solves: the instance, the cluster members in solve
 # order and the solver settings.  Only pool workers set it.  The fork start
@@ -136,11 +140,7 @@ def _presolve_init(
 def _presolve(index: int) -> _SubSolve:
     """Solve the index-th cluster in solve order against the whole fleet."""
     instance, members, params = _presolve_job
-    sub = _sub_instance(instance, members[index], [v.id for v in instance.vehicles])
-    try:
-        return solve_cvrptw(sub, params)
-    except InfeasibleError as exc:
-        return exc
+    return _sub_solve(instance, members[index], [v.id for v in instance.vehicles], params)
 
 
 def optimise_clusters(
@@ -152,15 +152,23 @@ def optimise_clusters(
 
     Vehicles used by one cluster are unavailable to the rest.  Raises
     NoSolutionFoundError if the pool runs dry or any sub-solve is infeasible.
-    With more than one usable CPU and more than one cluster, the clusters are
-    pre-solved in a process pool; see the module docstring for why the plan
-    does not depend on it.
     """
-    params = params or SolverParams()
     members = [
         list(clusters.clusters[i].members)
         for i in cluster_order(clusters, instance.depot.location)
     ]
+    return _solve_in_order(instance, members, params or SolverParams())
+
+
+def _solve_in_order(
+    instance: ProblemInstance, members: list[list[int]], params: SolverParams
+) -> RoutePlan:
+    """Solve each list of waypoint indices, in order, against the shared pool.
+
+    With more than one usable CPU and more than one list, the lists are
+    pre-solved in a process pool; see the module docstring for why the plan
+    does not depend on it.
+    """
     workers = min(_usable_cpus(), len(members))
     # A daemonic process (a multiprocessing.Pool worker) may not start children.
     if workers <= 1 or multiprocessing.current_process().daemon:
@@ -183,7 +191,8 @@ def _assign_vehicles(
     params: SolverParams,
     presolved: Iterator[Optional[_SubSolve]],
 ) -> RoutePlan:
-    """The in-order loop: the only place that hands out vehicles.
+    """The in-order loop: the only place that turns sub-solves into routes,
+    vehicles taken from the pool, or an error.
 
     `presolved` yields, per cluster, its outcome against the whole fleet or
     None.  An outcome is kept when the vehicles it depends on (1..max busy,
@@ -202,29 +211,26 @@ def _assign_vehicles(
             if isinstance(outcome, InfeasibleError):
                 used = len(fleet_capacities)
             else:
-                used = max(outcome[1], default=0)
+                used = max(outcome.busy_vehicles, default=0)
             if [instance.vehicle(v).capacity for v in free[:used]] != fleet_capacities[:used]:
                 outcome = None
         if outcome is None:
-            try:
-                outcome = solve_cvrptw(_sub_instance(instance, cluster_members, free), params)
-            except InfeasibleError as exc:
-                outcome = exc
-        if isinstance(outcome, InfeasibleError):
-            raise NoSolutionFoundError(
-                f"sub-solve infeasible for cluster of size {size}: {outcome}"
-            ) from outcome
-        sub_plan, busy = outcome
-        # original ids by sub-instance id - 1, as _sub_instance numbers them
+            outcome = _sub_solve(instance, cluster_members, free, params)
+        # original ids by sub-instance id - 1, as _sub_solve numbers them
         wp_back = [instance.waypoints[i].id for i in sorted(cluster_members)]
+        if isinstance(outcome, InfeasibleError):
+            unassigned = InfeasibleError(tuple(wp_back[w - 1] for w in outcome.unassigned))
+            raise NoSolutionFoundError(
+                f"sub-solve infeasible for cluster of size {size}: {unassigned}"
+            ) from outcome
         veh_back = sorted(free)
-        for sub_route in sub_plan.routes:
+        for sub_route in outcome.routes:
             stops = tuple(
                 StopVisit(wp_back[s.waypoint_id - 1], s.arrival_time, s.departure_time)
                 for s in sub_route.stops
             )
             routes.append(Route(veh_back[sub_route.vehicle_id - 1], sub_route.depot_pickup_time, stops))
-        busy_original = {veh_back[b - 1] for b in busy}
+        busy_original = {veh_back[b - 1] for b in outcome.busy_vehicles}
         free = [v for v in free if v not in busy_original]
     return RoutePlan(tuple(routes))
 
@@ -237,8 +243,9 @@ def run_strategy(
 ) -> PipelineResult:
     """Run one solve strategy end to end and report plan plus metrics.
 
-    Wall time covers clustering and routing together.  On failure the raised
-    NoSolutionFoundError carries the elapsed wall time.  The returned plan
+    MONOLITHIC runs the cluster loop on one group and reports no clusters.
+    Wall time covers clustering and routing together.  Every failure is a
+    NoSolutionFoundError carrying the elapsed wall time.  The returned plan
     always passes the solution validator: this is the one validation of a
     solve, made on the plan merged over every cluster.
     """
@@ -247,7 +254,7 @@ def run_strategy(
     started = time.perf_counter()
     try:
         if strategy is Strategy.MONOLITHIC or instance.n_waypoints == 0:
-            plan, busy = solve_cvrptw(instance, params)
+            plan = _solve_in_order(instance, [list(range(instance.n_waypoints))], params)
             cluster_count = 0
             peak = 0
         else:
@@ -259,13 +266,8 @@ def run_strategy(
             else:
                 clusters = recursive_dbscan(points, cluster_config)
             plan = optimise_clusters(clusters, instance, params)
-            busy = plan.busy_vehicles
             cluster_count = len(clusters.clusters)
             peak = max(clusters.sizes(), default=0)
-    except InfeasibleError as exc:
-        wrapped = NoSolutionFoundError(f"monolithic solve infeasible: {exc}")
-        wrapped.wall_time_ms = (time.perf_counter() - started) * 1000.0
-        raise wrapped from exc
     except NoSolutionFoundError as exc:
         exc.wall_time_ms = (time.perf_counter() - started) * 1000.0
         raise
@@ -278,7 +280,7 @@ def run_strategy(
         plan=plan,
         wall_time_ms=wall_ms,
         total_distance=evaluate_objective(plan, instance),
-        busy_vehicle_count=len(busy),
+        busy_vehicle_count=len(plan.busy_vehicles),
         cluster_count=cluster_count,
         peak_cluster_size=peak,
     )

@@ -524,17 +524,14 @@ def local_search(
 def solve_cvrptw(
     instance: ProblemInstance,
     params: Optional[SolverParams] = None,
-) -> tuple[RoutePlan, frozenset[int]]:
-    """Construct and polish a plan; returns it with the set of busy vehicles.
+) -> RoutePlan:
+    """Construct and polish a plan; its busy set is `plan.busy_vehicles`.
 
     Raises InfeasibleError when the fleet cannot cover every waypoint.  The
     plan is not validated here: pipeline.run_strategy validates the plan it
     returns, merged over every cluster, once per solve.
     """
     params = params or SolverParams()
-    if instance.n_waypoints == 0:
-        return RoutePlan(()), frozenset()
     matrix = build_matrix(instance)
     plan = path_cheapest_arc(instance, matrix)
-    plan = local_search(plan, instance, matrix, params)
-    return plan, plan.busy_vehicles
+    return local_search(plan, instance, matrix, params)

@@ -240,7 +240,7 @@ def test_tiny_instances_land_near_exact_optimum():
             (Vehicle(1, 10**9),),
             TravelModel(10.0),
         )
-        plan, _ = solve_cvrptw(instance)
+        plan = solve_cvrptw(instance)
         got = evaluate_objective(plan, instance)
         optimum = min(
             sum(

@@ -360,12 +360,15 @@ def sample_records():
 
 def test_csv_round_trip(tmp_path):
     path = str(tmp_path / "results.csv")
-    export_csv(sample_records(), path)
+    # a sub-centisecond runtime keeps all six decimals of its record
+    fast = BenchRecord(500, Strategy.RECURSIVE_DBSCAN, 0, 0.004567, 60_000, 10, RunStatus.OK)
+    export_csv(sample_records() + [fast], path)
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == ",".join(CSV_COLUMNS)
     rows = parse_csv(path)
-    assert len(rows) == 3  # (100, rep0), (100, rep1), (250, rep0)
+    assert len(rows) == 4  # (100, rep0), (100, rep1), (250, rep0), (500, rep0)
+    assert rows[3]["runtime_recursive"] == 0.004567
     first = rows[0]
     assert first["wps"] == 100
     assert first["runtime_monolithic"] == 2.0

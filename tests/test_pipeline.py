@@ -9,7 +9,13 @@ import pytest
 
 from routeforge import pipeline
 from routeforge.bench import GeneratorConfig, generate_instance
-from routeforge.clusterer import Cluster, ClusterConfig, ClusterSet, NoSolutionFoundError
+from routeforge.clusterer import (
+    Cluster,
+    ClusterConfig,
+    ClusterSet,
+    NoSolutionFoundError,
+    RecursionLimitError,
+)
 from routeforge.geo import GeoPoint
 from routeforge.model import (
     Depot,
@@ -76,11 +82,19 @@ def split_clusters(instance, cut: int) -> ClusterSet:
 
 def test_single_cluster_equals_direct_solve():
     rng = np.random.default_rng(1)
-    instance = grid_instance(rng, 30, 4, 10, centers=[(0.0, 0.0)])
+    uniform = grid_instance(rng, 30, 4, 10, centers=[(0.0, 0.0)])
+    # The same waypoints with a mixed fleet: the greedy opens vehicles in id
+    # order, so the capacities decide which vehicles a plan takes.
+    capacities = (4, 12, 7, 10, 6)
+    mixed = replace(uniform, vehicles=tuple(Vehicle(j, c) for j, c in enumerate(capacities, 1)))
     params = SolverParams(rng_seed=7)
-    direct, _ = solve_cvrptw(instance, params)
-    via_cluster = optimise_clusters(whole_set_cluster(instance), instance, params)
-    assert plan_to_dict(via_cluster) == plan_to_dict(direct)
+    for instance in (uniform, mixed):
+        direct = solve_cvrptw(instance, params)
+        via_cluster = optimise_clusters(whole_set_cluster(instance), instance, params)
+        assert plan_to_dict(via_cluster) == plan_to_dict(direct)
+        # MONOLITHIC runs the cluster loop; the direct solve is its reference.
+        monolithic = run_strategy(instance, Strategy.MONOLITHIC, params=params).plan
+        assert plan_to_dict(monolithic) == plan_to_dict(direct)
 
 
 def test_clusters_use_disjoint_vehicles():
@@ -122,6 +136,19 @@ def test_oversized_cluster_demand_raises_no_solution():
 # --- run_strategy ---
 
 
+def shedding_chain_instance():
+    """500 waypoints on the equator whose gaps shrink by 1 m per step, so
+    every recursion level sheds only a point or two."""
+    positions = [0.0]
+    for i in range(499):
+        positions.append(positions[-1] + (1_000.0 - i))
+    waypoints = tuple(
+        Waypoint(i + 1, GeoPoint(0.0, x / EQUATOR_DEGREE_M), 1, WIDE) for i, x in enumerate(positions)
+    )
+    vehicles = tuple(Vehicle(j + 1, 30) for j in range(40))
+    return ProblemInstance(Depot(GeoPoint(0.0, 0.0), WIDE), waypoints, vehicles, TravelModel(10.0))
+
+
 def test_failure_carries_wall_time():
     rng = np.random.default_rng(5)
     instance = grid_instance(rng, 30, 1, 10, centers=[(0.0, 0.0)])
@@ -130,6 +157,14 @@ def test_failure_carries_wall_time():
             run_strategy(instance, strategy)
         assert err.value.wall_time_ms is not None
         assert err.value.wall_time_ms >= 0.0
+    with pytest.raises(RecursionLimitError) as err:
+        run_strategy(
+            shedding_chain_instance(),
+            Strategy.RECURSIVE_DBSCAN,
+            cluster_config=ClusterConfig(max_cluster_size=400),
+        )
+    assert err.value.wall_time_ms is not None
+    assert err.value.wall_time_ms >= 0.0
 
 
 def test_single_waypoint_identical_across_strategies():
@@ -251,6 +286,22 @@ def test_infeasible_presolve_of_first_cluster_gives_the_serial_error(monkeypatch
     )
     assert pooled == serial
     assert resolved == 0
+
+
+def test_infeasible_cluster_lists_its_own_waypoint_ids(monkeypatch):
+    rng = np.random.default_rng(8)
+    instance = grid_instance(rng, 30, 1, 10, centers=[(0.0, 0.0)])
+    # The larger cluster, waypoints 15..30, goes first and leaves 6 of its
+    # 16 units of demand unassigned.  Its sub-instance numbers them 1..16.
+    clusters = split_clusters(instance, 14)
+    (pooled, _), (serial, _) = solve_pooled_and_serial(
+        monkeypatch, lambda: optimise_clusters(clusters, instance)
+    )
+    assert pooled == serial
+    assert serial.startswith("NoSolutionFoundError: sub-solve infeasible for cluster of size 16: 6 waypoints")
+    listed = [int(w) for w in serial.rsplit("[", 1)[1].rstrip("]").split(", ")]
+    assert len(listed) == 6
+    assert set(listed) <= set(range(15, 31))
 
 
 def two_cluster_plan(seed):

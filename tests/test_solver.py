@@ -360,9 +360,9 @@ def test_empty_instance_solves_to_empty_plan():
     instance = ProblemInstance(
         Depot(east(0), WIDE), (), (Vehicle(1, 30),), TravelModel(10.0)
     )
-    plan, busy = solve_cvrptw(instance)
+    plan = solve_cvrptw(instance)
     assert plan.routes == ()
-    assert busy == frozenset()
+    assert plan.busy_vehicles == frozenset()
 
 
 def test_unreachable_window_is_infeasible():
@@ -375,9 +375,9 @@ def test_unreachable_window_is_infeasible():
 def test_toy_instances_land_near_optimum(seed):
     rng = np.random.default_rng(seed)
     instance = scatter_instance(rng, 8, 3, 9, box_m=1_000.0, demand_hi=3)
-    plan, busy = solve_cvrptw(instance)
+    plan = solve_cvrptw(instance)
     assert validate_solution(plan, instance) == []
-    assert busy == {r.vehicle_id for r in plan.routes}
+    assert plan.busy_vehicles == {r.vehicle_id for r in plan.routes}
     got = evaluate_objective(plan, instance)
     optimum = branch_and_bound_optimum(instance)
     assert optimum < math.inf
