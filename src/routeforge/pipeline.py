@@ -20,7 +20,9 @@ set from a queue, sets its affinity to that CPU alone, then restores the
 set it inherited.  Left to the scheduler, both workers of a two-CPU pool
 can share one CPU for a whole pool phase; restoring the set still lets the
 scheduler move a worker off a CPU that another process keeps busy.  Where
-the affinity calls fail, the worker runs where it started.
+the affinity calls fail, the worker runs where it started.  A solve that
+succeeds closes the pool and joins its workers, so every worker has run its
+initializer before the solve returns; a failed solve terminates the pool.
 """
 
 from __future__ import annotations
@@ -177,12 +179,20 @@ def _solve_in_order(
     cpus = context.SimpleQueue()
     for cpu in sorted(os.sched_getaffinity(0))[:workers]:
         cpus.put(cpu)
+    pool = context.Pool(workers, _presolve_init, (instance, members, params, cpus))
     try:
-        with context.Pool(workers, _presolve_init, (instance, members, params, cpus)) as pool:
-            presolved = pool.imap(_presolve, range(len(members)))
-            return _assign_vehicles(instance, members, params, presolved)
+        plan = _assign_vehicles(instance, members, params, pool.imap(_presolve, range(len(members))))
+    except BaseException:
+        # A failed solve does not wait for the pre-solves still running.
+        pool.terminate()
+        raise
+    else:
+        # Every task has been taken; each worker exits on its own.
+        pool.close()
+        pool.join()
     finally:
         cpus.close()
+    return plan
 
 
 def _assign_vehicles(

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routeforge.bench import GeneratorConfig, generate_instance
 from routeforge.clusterer import ClusterConfig, Feasibility, binary_search_clusters
 from routeforge.dbscan import (
     ClusterLabels,
     DbscanParams,
     EmptyInputError,
+    SpanningTree,
     dbscan,
     pairwise_meters,
     spanning_tree,
 )
-from routeforge.geo import METERS_PER_RADIAN, GeoPoint
+from routeforge.geo import METERS_PER_RADIAN, GeoPoint, h_meters, haversine_h, radian_arrays
 
 EQUATOR_DEGREE_M = 111_195.0802335329
 
@@ -70,6 +72,118 @@ def components_oracle(points, eps_meters):
 
 def as_partition(labels: ClusterLabels):
     return {frozenset(members) for members in labels.clusters()}
+
+
+# --- references: the dense flood and Prim's tree ---
+
+
+def components_dense(adjacency: np.ndarray) -> ClusterLabels:
+    """Connected components of a dense adjacency matrix, labeled so that the
+    component holding the lowest untouched index gets the next label.
+
+    Each component is flooded a whole frontier per step.
+    """
+    n = adjacency.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    cluster = 0
+    for seed in range(n):
+        if labels[seed] != -1:
+            continue
+        member = adjacency[seed].copy()
+        member[seed] = True
+        frontier_size = int(member.sum())
+        while True:
+            reached = adjacency[member].any(axis=0)
+            member |= reached
+            size = int(member.sum())
+            if size == frontier_size:
+                break
+            frontier_size = size
+        labels[member] = cluster
+        cluster += 1
+    return ClusterLabels(tuple(int(x) for x in labels))
+
+
+def dense_dbscan(pairwise: np.ndarray, params: DbscanParams) -> ClusterLabels:
+    """dbscan's labels from a pairwise_meters matrix: its connected
+    components at the radius, in O(n^2) memory."""
+    return components_dense(pairwise <= params.radius_m)
+
+
+def prim_spanning_tree(points) -> SpanningTree:
+    """Prim's algorithm over exact haversine weights.
+
+    Each step computes one row of the haversine term h, from the point just
+    added to the points still outside the tree, with the geo.haversine_h of
+    pairwise_meters.  Prim compares h itself: meters are a monotone function
+    of h, so the tree is a minimum spanning tree in meters too.  Only the
+    n - 1 chosen h become meters, through the same geo.h_meters, so the
+    weights match pairwise_meters bit for bit.  Memory stays O(n).
+    """
+    n = len(points)
+    lat, lon, cos_lat = radian_arrays(points)
+    # The points outside the tree sit in the first m slots of the out_*,
+    # best and via arrays: the one that joins swaps places with the last.
+    out_idx = np.arange(1, n, dtype=np.int64)
+    out_lat, out_lon, out_cos = lat[1:].copy(), lon[1:].copy(), cos_lat[1:].copy()
+    best = np.full(n - 1, np.inf)
+    via = np.zeros(n - 1, dtype=np.int64)
+    heads = np.empty(n - 1, dtype=np.int64)
+    tails = np.empty(n - 1, dtype=np.int64)
+    weights = np.empty(n - 1)
+    u = 0
+    for step, m in enumerate(range(n - 1, 0, -1)):
+        h = haversine_h(lat[u], lon[u], cos_lat[u], out_lat[:m], out_lon[:m], out_cos[:m])
+        closer = h < best[:m]
+        best[:m][closer] = h[closer]
+        via[:m][closer] = u
+        j = int(np.argmin(best[:m]))
+        v = int(out_idx[j])
+        heads[step], tails[step], weights[step] = via[j], v, best[j]
+        u = v
+        for arr in (out_idx, out_lat, out_lon, out_cos, best, via):
+            arr[j], arr[m - 1] = arr[m - 1], arr[j]
+    weights = h_meters(weights)
+    order = np.argsort(weights, kind="stable")
+    return SpanningTree(n, heads[order], tails[order], weights[order])
+
+
+def assert_same_clusterings(points, tree: SpanningTree, reference: SpanningTree):
+    """tree agrees with reference wherever a cut or a probe can look.
+
+    The weights are equal arrays, each weight is its pairwise_meters value,
+    and at radius 0, at every weight and at the floats on either side of it
+    the cuts and the largest components are equal.  Between two distinct
+    weights the cut does not change, so the cuts are compared once per run
+    of equal weights: every edge of either tree up to the run's end must join
+    points that the other tree's edges up to there already join.  The
+    largest components may differ inside a run of ties; a probe reads them
+    only at a run's end.
+    """
+    assert np.array_equal(tree.weights, reference.weights)
+    dense = [pairwise_meters([points[a], points[b]])[0, 1] for a, b in zip(tree.heads, tree.tails)]
+    assert np.array_equal(tree.weights, np.array(dense).reshape(-1))
+    radii = {0.0}
+    for w in tree.weights.tolist():
+        radii.update((np.nextafter(w, 0.0), w, np.nextafter(w, np.inf)))
+    joined = sorted({tree.edges_within(radius) for radius in radii})
+    assert joined == sorted({reference.edges_within(radius) for radius in radii})
+    peaks, reference_peaks = tree.peak_sizes(), reference.peak_sizes()
+    assert [peaks[k] for k in joined] == [reference_peaks[k] for k in joined]
+    finds = (UnionFind(tree.n), UnionFind(tree.n))
+    edges = [list(zip(t.heads.tolist(), t.tails.tolist())) for t in (tree, reference)]
+    start = 0
+    for end in joined:
+        for uf, own in zip(finds, edges):
+            for a, b in own[start:end]:
+                uf.union(a, b)
+        for uf, other in zip(finds, edges[::-1]):
+            assert all(uf.find(a) == uf.find(b) for a, b in other[start:end])
+        start = end
+    # and the cut itself, at a spread of those radii
+    ordered = sorted(radii)
+    for radius in ordered[:: max(1, len(ordered) // 24)] + [ordered[-1]]:
+        assert tree.cut(radius) == reference.cut(radius)
 
 
 # --- params ---
@@ -157,7 +271,7 @@ def test_tree_cut_agrees_with_dense_path_above_2000():
     rng = np.random.default_rng(31)
     points = random_points(rng, 2_300, box_meters=20_000.0)
     params = DbscanParams(radius_m=700)
-    assert dbscan(points, params).labels == dbscan(points, params, pairwise=pairwise_meters(points)).labels
+    assert dbscan(points, params).labels == dense_dbscan(pairwise_meters(points), params).labels
 
 
 def test_identical_points_single_cluster():
@@ -171,7 +285,7 @@ def test_radius_zero_joins_only_coincident_points():
     params = DbscanParams(radius_m=0.0)
     labels = dbscan(points, params)
     assert labels.labels == (0, 0, 1, 2, 2)
-    assert labels == dbscan(points, params, pairwise=pairwise_meters(points))
+    assert labels == dense_dbscan(pairwise_meters(points), params)
 
 
 # --- spanning tree cuts against the dense reference ---
@@ -197,8 +311,8 @@ def test_subtree_across_clusters_rejected():
 
 
 def test_antimeridian_cluster_is_not_split():
-    # 2,100 points (above BRUTE_FORCE_LIMIT) within a 70 m disc centred on
-    # lon 180, so half of them carry lon near -180
+    # 2,100 points within a 70 m disc centred on lon 180, so half of them
+    # carry lon near -180
     rng = np.random.default_rng(41)
     angle = rng.uniform(0.0, 2.0 * math.pi, 2_100)
     dist = 70.0 * np.sqrt(rng.uniform(0.0, 1.0, 2_100))
@@ -211,7 +325,7 @@ def test_antimeridian_cluster_is_not_split():
 
     params = DbscanParams(radius_m=150)
     labels = dbscan(points, params)
-    assert labels.labels == dbscan(points, params, pairwise=pairwise_meters(points)).labels
+    assert labels.labels == dense_dbscan(pairwise_meters(points), params).labels
     assert labels.n_clusters == 1
 
     config = ClusterConfig(max_cluster_size=2_100)
@@ -253,7 +367,7 @@ def test_tree_cut_equals_dense_labels(data, drawn):
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     for radius in (data.draw(st.floats(0.0, 2.0 * box)), float(dense[i, j])):
         params = DbscanParams(radius_m=radius)
-        assert dbscan(points, params).labels == dbscan(points, params, pairwise=dense).labels
+        assert dbscan(points, params).labels == dense_dbscan(dense, params).labels
 
 
 @settings(max_examples=100, deadline=None)
@@ -285,3 +399,49 @@ def test_probe_lookups_equal_tree_cut_at_edge_weights(drawn):
         labels = tree.cut(radius)
         assert tree.n - joined == labels.n_clusters
         assert peaks[joined] == max(len(c) for c in labels.clusters())
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=point_sets())
+def test_tree_equals_prim_reference(drawn):
+    points, _ = drawn
+    assert_same_clusterings(points, spanning_tree(points), prim_spanning_tree(points))
+
+
+def generated_points(n, seed):
+    return [w.location for w in generate_instance(GeneratorConfig(n_waypoints=n, seed=seed)).waypoints]
+
+
+def coincident_block():
+    # 600 of 700 waypoints on waypoint 1's spot
+    points = generated_points(700, 1)
+    return points[:1] + [points[1]] * 600 + points[601:]
+
+
+def micron_disc():
+    # 2,000 of 3,000 waypoints inside a disc 1 um across
+    points = generated_points(3_000, 1)
+    rng = np.random.default_rng(5)
+    angle = rng.uniform(0.0, 2.0 * math.pi, 2_000)
+    dist = 0.5e-6 * np.sqrt(rng.uniform(0.0, 1.0, 2_000))
+    lat0, lon0 = points[0].lat, points[0].lon
+    lat = lat0 + dist * np.sin(angle) / EQUATOR_DEGREE_M
+    lon = lon0 + dist * np.cos(angle) / (EQUATOR_DEGREE_M * math.cos(math.radians(lat0)))
+    return [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)] + points[2_000:]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        coincident_block,
+        micron_disc,
+        lambda: generated_points(2_000, 0),
+        lambda: generated_points(2_000, 1),
+        lambda: generated_points(3_000, 0),
+        lambda: generated_points(3_000, 1),
+    ],
+    ids=["coincident-600-of-700", "micron-disc-2000-of-3000", "n2000-s0", "n2000-s1", "n3000-s0", "n3000-s1"],
+)
+def test_tree_equals_prim_on_large_and_degenerate_inputs(make):
+    points = make()
+    assert_same_clusterings(points, spanning_tree(points), prim_spanning_tree(points))
