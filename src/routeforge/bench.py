@@ -205,7 +205,7 @@ def _run_inprocess(instance, strategy, cluster_config, params):
         result.wall_time_ms / 1000.0,
         result.total_distance,
         result.busy_vehicle_count,
-        result.plan,
+        plan_to_dict(result.plan),
     )
 
 
@@ -215,8 +215,7 @@ def _budget_child(conn, instance, strategy, cluster_config, params, memory_mb):
     limit = memory_mb << 20
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
     try:
-        status, runtime_s, dist, busy, plan = _run_inprocess(instance, strategy, cluster_config, params)
-        doc = plan_to_dict(plan) if plan is not None else None
+        status, runtime_s, dist, busy, doc = _run_inprocess(instance, strategy, cluster_config, params)
         conn.send((status.value, runtime_s, dist, busy, doc))
     except MemoryError:
         conn.send((RunStatus.CRASHED_BUDGET.value, None, None, None, None))
@@ -253,12 +252,7 @@ def _run_budgeted(instance, strategy, cluster_config, params, budget: BudgetConf
     if payload is None:  # timeout, OOM kill, or abnormal exit
         return RunStatus.CRASHED_BUDGET, elapsed, None, None, None
     status, runtime_s, dist, busy, doc = payload
-    plan = None
-    if doc is not None:
-        from .model import plan_from_dict
-
-        plan = plan_from_dict(doc, instance)
-    return RunStatus(status), runtime_s if runtime_s is not None else elapsed, dist, busy, plan
+    return RunStatus(status), runtime_s if runtime_s is not None else elapsed, dist, busy, doc
 
 
 def _archive_path(archive_dir: str, n: int, rep: int, strategy: Strategy) -> str:
@@ -287,14 +281,14 @@ def _run_cell(
     records = []
     for strategy in strategies:
         if budget is None:
-            status, runtime_s, dist, busy, plan = _run_inprocess(instance, strategy, cluster_config, params)
+            status, runtime_s, dist, busy, doc = _run_inprocess(instance, strategy, cluster_config, params)
         else:
-            status, runtime_s, dist, busy, plan = _run_budgeted(instance, strategy, cluster_config, params, budget)
-        if status is RunStatus.OK and archive_dir is not None and plan is not None:
+            status, runtime_s, dist, busy, doc = _run_budgeted(instance, strategy, cluster_config, params, budget)
+        if status is RunStatus.OK and archive_dir is not None and doc is not None:
             path = _archive_path(archive_dir, n, rep, strategy)
             try:
                 with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(plan_to_dict(plan), fh)
+                    json.dump(doc, fh)
             except OSError as exc:
                 raise OSError(f"cannot archive plan to {path}: {exc}") from exc
         records.append(

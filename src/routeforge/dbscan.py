@@ -10,8 +10,8 @@ inside one cluster answers every radius over that cluster.  Every minimum
 spanning tree of the same weights has the same cuts, which is what lets
 spanning_tree pick any one of them: it runs Boruvka rounds on a kd-tree
 over 3D unit vectors, with no n-by-n array, and decides every edge by the
-exact haversine term that pairwise_meters computes, so its weights are that
-matrix's values to the bit.
+meters of geo.HaversineKernel, the package's one array distance kernel, so
+its weights are geo.haversine_distance and pairwise_meters to the bit.
 """
 
 from __future__ import annotations
@@ -22,20 +22,22 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, h_meters, haversine_h, radian_arrays
+# pairwise_meters is re-exported for clusterer, where perfbench/tracer.py wraps it.
+from .geo import GeoPoint, HaversineKernel, check_coordinate, pairwise_meters  # noqa: F401
 
 # No package code branches on this point count: every probe cuts the spanning
 # tree at any size.  It stays bound because perfbench/tracer.py reads it to
 # label probes; retargeting those labels to the tree is an open ROADMAP item.
 BRUTE_FORCE_LIMIT = 2000
 
-# A chord between two computed unit vectors and the chord 2 sqrt(h) of the
-# computed haversine term h differed by at most 4.5e-16 plus 1e-15 of their
-# length, over 4 million random pairs from millimeters apart to antipodal,
-# near the poles and across lon 180.  A decision compares two chords, so
-# limits widened by these margins, several times twice that, keep every edge
-# that exact h could rank first.
-_CHORD_ABS = 4e-15
+# A chord between two computed unit vectors and the chord 2 sin(m / 2R) of
+# the kernel's meters m differed by at most 1.33e-15 at every length, over 4
+# million random pairs from a micrometer apart to antipodal, near the poles
+# and across lon 180 (the kernel converts a difference of longitudes to
+# radians, the unit vectors each longitude).  A decision compares two chords,
+# so limits widened by these margins, three times twice that, keep every
+# edge that exact meters could rank first.
+_CHORD_ABS = 8e-15
 _CHORD_REL = 1e-12
 # Points per kd-tree leaf at most, and cells per block of leaf pairs.
 _LEAF = 8
@@ -78,12 +80,6 @@ class ClusterLabels:
         for idx, label in enumerate(self.labels):
             out[label].append(idx)
         return out
-
-
-def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
-    """Full symmetric haversine distance matrix in meters."""
-    lat, lon, cos_lat = radian_arrays(points)
-    return h_meters(haversine_h(lat[:, None], lon[:, None], cos_lat[:, None], lat, lon, cos_lat))
 
 
 def _find(root: list[int], x: int) -> int:
@@ -157,44 +153,46 @@ def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
     """Minimum spanning tree over exact haversine weights: Boruvka rounds on
     a kd-tree (March, Ram and Gray, KDD 2010).
 
-    Points with equal radian coordinates collapse first: each joins the
-    lowest index at its spot by a 0 m edge.  Each round then finds every
-    component's lightest outgoing edge and joins along all of them.  Edges
-    rank by (haversine term h, lower index, higher index); under that total
-    order the chosen edges never close a cycle.  A breadth-first descent over
-    pairs of kd-tree nodes finds them.  It drops a pair whose nodes hold one
-    and the same component, or whose boxes lie farther apart, in chord
-    length, than what either node's components have already found.  Chords
-    only prune and shortlist, with a margin that covers their rounding; the
-    edge a component takes is decided by exact h alone, the geo.haversine_h
-    of pairwise_meters with the lower index first.  Meters are a monotone
-    function of h, so the tree is a minimum spanning tree in meters too, and
-    its n - 1 chosen h become meters through the same geo.h_meters, so the
-    weights equal pairwise_meters to the bit.  Leaf pairs are compared in
-    blocks of a fixed cell count; beyond those, memory is the lists of node
-    pairs, which stayed under 3n pairs on generated instances.
+    A point that fails geo.check_coordinate raises a ValueError naming it.
+    Points equal in the values the kernel reads collapse first: each joins
+    the lowest index at its spot by a 0 m edge.  Each round then finds every component's lightest outgoing
+    edge and joins along all of them.  Edges rank by (meters, lower index,
+    higher index); under that total order the chosen edges never close a
+    cycle.  A breadth-first descent over pairs of kd-tree nodes finds them.
+    It drops a pair whose nodes hold one and the same component, or whose
+    boxes lie farther apart, in chord length, than what either node's
+    components have already found.  Chords only prune and shortlist, with a
+    margin that covers their rounding; the edge a component takes is decided
+    by its geo.HaversineKernel meters alone, lower index first, and those
+    are the weights, equal to pairwise_meters to the bit.  Leaf pairs are
+    compared in blocks of a fixed cell count; beyond those, memory is the
+    lists of node pairs, which stayed under 3n pairs on generated instances.
     """
     n = len(points)
     if n == 0:
         raise EmptyInputError("cannot build a spanning tree over an empty point set")
-    lat, lon, cos_lat = radian_arrays(points)
+    for k, p in enumerate(points):
+        check_coordinate(p, f"point {k}")
+    kernel = HaversineKernel(points)
+    lat, lon = kernel.lat, kernel.lon
     by_spot = np.lexsort((lon, lat))  # stable: the lowest index leads each spot
     first = np.ones(n, dtype=bool)
     first[1:] = (lat[by_spot[1:]] != lat[by_spot[:-1]]) | (lon[by_spot[1:]] != lon[by_spot[:-1]])
     lead = by_spot[first][np.cumsum(first) - 1]
     spots = np.sort(by_spot[first])
-    lo, hi, h = _boruvka(lat[spots], lon[spots], cos_lat[spots])
-    heads = np.concatenate([lead[~first], spots[lo]])
-    tails = np.concatenate([by_spot[~first], spots[hi]])
-    weights = h_meters(np.concatenate([np.zeros(n - len(spots)), h]))
+    lo, hi, meters = _boruvka(kernel, spots)
+    heads = np.concatenate([lead[~first], lo])
+    tails = np.concatenate([by_spot[~first], hi])
+    weights = np.concatenate([np.zeros(n - len(spots)), meters])
     order = np.lexsort((tails, heads, weights))
     return SpanningTree(n, heads[order], tails[order], weights[order])
 
 
-def _boruvka(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray):
-    """The minimum spanning tree over distinct points as (lower index, higher
-    index, h) per edge, unordered."""
-    m = len(lat)
+def _boruvka(kernel: HaversineKernel, spots: np.ndarray):
+    """The minimum spanning tree over the distinct points spots, ascending,
+    as (lower index, higher index, meters) per edge, unordered."""
+    m = len(spots)
+    lat, lon, cos_lat = kernel.lat[spots], np.radians(kernel.lon[spots]), kernel.cos_lat[spots]
     xyz = np.stack([cos_lat * np.cos(lon), cos_lat * np.sin(lon), np.sin(lat)], axis=1)
     tree = _KdTree(xyz)
     perm = tree.perm
@@ -202,22 +200,22 @@ def _boruvka(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray):
     rank[perm] = np.arange(m)
     comp = np.arange(m)  # component of the point at each tree position
     n_comp = m
-    out_lo, out_hi, out_h = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    out_lo, out_hi, out_m = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
     while n_comp > 1:
         pos_a, pos_b = tree.candidates(comp, n_comp)
         a, b = perm[pos_a], perm[pos_b]
         lo, hi = np.minimum(a, b), np.maximum(a, b)
-        h = haversine_h(lat[lo], lon[lo], cos_lat[lo], lat[hi], lon[hi], cos_lat[hi])
-        # Per component, the first candidate in the order (h, lo, hi).
+        meters = kernel(spots[lo], spots[hi])
+        # Per component, the first candidate in the order (meters, lo, hi).
         owner = np.concatenate([comp[pos_a], comp[pos_b]])
-        lo2, hi2, h2 = np.tile(lo, 2), np.tile(hi, 2), np.tile(h, 2)
-        order = np.lexsort((hi2, lo2, h2, owner))
+        lo2, hi2, m2 = np.tile(lo, 2), np.tile(hi, 2), np.tile(meters, 2)
+        order = np.lexsort((hi2, lo2, m2, owner))
         head = np.ones(len(order), dtype=bool)
         head[1:] = owner[order[1:]] != owner[order[:-1]]
         best = order[head]
         if not np.array_equal(owner[best], np.arange(n_comp)):
             raise AssertionError("a component found no outgoing edge")
-        lo_c, hi_c, h_c = lo2[best], hi2[best], h2[best]
+        lo_c, hi_c, m_c = lo2[best], hi2[best], m2[best]
         comp_lo, comp_hi = comp[rank[lo_c]], comp[rank[hi_c]]
         succ = np.where(comp_lo == np.arange(n_comp), comp_hi, comp_lo)
         # Two components that chose each other chose the same edge: the
@@ -226,7 +224,7 @@ def _boruvka(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray):
         root = (succ[succ] == labels) & (labels < succ)
         out_lo.append(lo_c[~root])
         out_hi.append(hi_c[~root])
-        out_h.append(h_c[~root])
+        out_m.append(m_c[~root])
         succ[root] = labels[root]
         while True:
             nxt = succ[succ]
@@ -236,7 +234,7 @@ def _boruvka(lat: np.ndarray, lon: np.ndarray, cos_lat: np.ndarray):
         new_label = np.cumsum(root) - 1
         comp = new_label[succ[comp]]
         n_comp = int(root.sum())
-    return np.concatenate(out_lo), np.concatenate(out_hi), np.concatenate(out_h)
+    return spots[np.concatenate(out_lo)], spots[np.concatenate(out_hi)], np.concatenate(out_m)
 
 
 class _KdTree:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .geo import GeoPoint, haversine_distance
+from .geo import GeoPoint, check_coordinate, haversine_distance
 
 
 class InvalidInstanceError(ValueError):
@@ -90,13 +90,6 @@ class TravelModel:
         return meters / self.speed_mps
 
 
-def _check_coordinate(point: GeoPoint, label: str) -> None:
-    if not (-90.0 <= point.lat <= 90.0 and -180.0 <= point.lon <= 180.0):
-        raise InvalidInstanceError(f"{label} coordinate out of range: {point}")
-    if not (math.isfinite(point.lat) and math.isfinite(point.lon)):
-        raise InvalidInstanceError(f"{label} coordinate not finite: {point}")
-
-
 @dataclass(frozen=True)
 class ProblemInstance:
     """A depot, a waypoint set, a vehicle fleet and a travel model.
@@ -113,7 +106,7 @@ class ProblemInstance:
     def __post_init__(self) -> None:
         object.__setattr__(self, "waypoints", tuple(self.waypoints))
         object.__setattr__(self, "vehicles", tuple(self.vehicles))
-        _check_coordinate(self.depot.location, "depot")
+        check_coordinate(self.depot.location, "depot", InvalidInstanceError)
         wp_ids = [w.id for w in self.waypoints]
         if wp_ids != list(range(1, len(wp_ids) + 1)):
             raise InvalidInstanceError("waypoint ids must be exactly 1..N in order")
@@ -127,7 +120,7 @@ class ProblemInstance:
             if v.capacity < 0:
                 raise InvalidInstanceError(f"vehicle {v.id} has negative capacity")
         for w in self.waypoints:
-            _check_coordinate(w.location, f"waypoint {w.id}")
+            check_coordinate(w.location, f"waypoint {w.id}", InvalidInstanceError)
             if w.demand < 0:
                 raise InvalidInstanceError(f"waypoint {w.id} has negative demand")
             if w.demand > max_capacity:

@@ -10,10 +10,11 @@ Each solve builds one C-contiguous float64 distance array.  The greedy
 construction takes one masked argmin over an array row per step and the
 neighbor lists come from a partition over blocks of rows, while the local
 search reads single cells through per-row memoryviews.  The cells come
-from geo.haversine_upper, a block kernel whose every cell equals the scalar
-geo.haversine_distance to the last bit, so plans keep the exact bits they
-had when each cell was one scalar call.  The solver does not validate its
-plans; pipeline.run_strategy validates the plan it returns.
+from geo.pairwise_meters, the fill of the package's one array distance
+kernel, so every cell equals the scalar geo.haversine_distance to the last
+bit and plans keep the exact bits they had when each cell was one scalar
+call.  The solver does not validate its plans; pipeline.run_strategy
+validates the plan it returns.
 
 The local search keeps a table of every stop's position in its route and
 rebuilds it only for the routes that an accepted move changed, so a move
@@ -32,7 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .geo import haversine_upper
+from .geo import pairwise_meters
 from .model import (
     ProblemInstance,
     Route,
@@ -61,8 +62,8 @@ EVALS_PER_MS = 700
 # rounding noise, and the search cycles until its budget runs out.
 MIN_GAIN_M = 1e-6
 
-# Rows per block wherever a whole-matrix numpy pass would need an n^2
-# temporary: the matrix symmetrization and the neighbor partition.
+# Rows per block of the neighbor partition, so that its copy of the matrix
+# stays small.
 _ROW_BLOCK = 256
 
 
@@ -124,20 +125,10 @@ class DistanceMatrix:
 
 
 def build_matrix(instance: ProblemInstance) -> DistanceMatrix:
-    """Full node distance matrix for one instance.
-
-    Every cell equals geo.haversine_distance, the scalar reference kernel,
-    to the last bit: geo.haversine_upper fills the upper triangle block by
-    block.  Adding the transpose mirrors it exactly, because x + 0.0 == x.
-    """
-    points = [instance.depot.location] + [w.location for w in instance.waypoints]
-    n = len(points)
-    arr = haversine_upper(points)
-    # Block by rows so that the transpose's copy stays small: rows a..b
-    # read only columns a..b, which no earlier block wrote.
-    for a in range(0, n, _ROW_BLOCK):
-        b = a + _ROW_BLOCK
-        arr[a:b, :b] += arr[:b, a:b].T
+    """Full node distance matrix for one instance: geo.pairwise_meters, whose
+    every cell equals geo.haversine_distance to the last bit, with column 0
+    zeroed."""
+    arr = pairwise_meters([instance.depot.location] + [w.location for w in instance.waypoints])
     arr[:, 0] = 0.0
     return DistanceMatrix(arr)
 

@@ -285,14 +285,24 @@ def test_memory_budget_breach_is_a_crash_record():
     assert [r.status for r in records] == [RunStatus.CRASHED_BUDGET]
 
 
-def test_budgeted_run_matches_unbudgeted_results():
-    free = run_benchmark(sizes=[40], repetitions=1, params=FAST)
+def test_budgeted_run_matches_unbudgeted_results(tmp_path):
+    free = run_benchmark(sizes=[40], repetitions=1, params=FAST, archive_dir=str(tmp_path / "free"))
     fenced = run_benchmark(
-        sizes=[40], repetitions=1, params=FAST, budget=BudgetConfig(memory_mb=4_096, wall_s=120.0)
+        sizes=[40],
+        repetitions=1,
+        params=FAST,
+        budget=BudgetConfig(memory_mb=4_096, wall_s=120.0),
+        archive_dir=str(tmp_path / "fenced"),
     )
     assert [(r.status, r.distance_m, r.busy_vehicles) for r in free] == [
         (r.status, r.distance_m, r.busy_vehicles) for r in fenced
     ]
+    # the fenced child's archived plans are the in-process ones, byte for byte
+    names = sorted(os.listdir(tmp_path / "free"))
+    assert len(names) == sum(r.status is RunStatus.OK for r in free) > 0
+    assert sorted(os.listdir(tmp_path / "fenced")) == names
+    for name in names:
+        assert (tmp_path / "fenced" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
 
 
 def test_benchmark_is_deterministic_apart_from_runtime():

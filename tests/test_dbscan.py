@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from routeforge.bench import GeneratorConfig, generate_instance
-from routeforge.clusterer import ClusterConfig, Feasibility, binary_search_clusters
+from routeforge.clusterer import ClusterConfig, Feasibility, binary_search_clusters, recursive_dbscan
 from routeforge.dbscan import (
     ClusterLabels,
     DbscanParams,
@@ -16,7 +16,7 @@ from routeforge.dbscan import (
     pairwise_meters,
     spanning_tree,
 )
-from routeforge.geo import METERS_PER_RADIAN, GeoPoint, h_meters, haversine_h, radian_arrays
+from routeforge.geo import METERS_PER_RADIAN, GeoPoint, HaversineKernel, haversine_distance
 
 EQUATOR_DEGREE_M = 111_195.0802335329
 
@@ -113,19 +113,16 @@ def dense_dbscan(pairwise: np.ndarray, params: DbscanParams) -> ClusterLabels:
 def prim_spanning_tree(points) -> SpanningTree:
     """Prim's algorithm over exact haversine weights.
 
-    Each step computes one row of the haversine term h, from the point just
-    added to the points still outside the tree, with the geo.haversine_h of
-    pairwise_meters.  Prim compares h itself: meters are a monotone function
-    of h, so the tree is a minimum spanning tree in meters too.  Only the
-    n - 1 chosen h become meters, through the same geo.h_meters, so the
-    weights match pairwise_meters bit for bit.  Memory stays O(n).
+    Each step computes one row of meters, from the point just added to the
+    points still outside the tree, with the geo.HaversineKernel of
+    pairwise_meters and the lower index first, so the weights match
+    pairwise_meters bit for bit.  Memory stays O(n).
     """
     n = len(points)
-    lat, lon, cos_lat = radian_arrays(points)
-    # The points outside the tree sit in the first m slots of the out_*,
+    kernel = HaversineKernel(points)
+    # The points outside the tree sit in the first m slots of the out_idx,
     # best and via arrays: the one that joins swaps places with the last.
     out_idx = np.arange(1, n, dtype=np.int64)
-    out_lat, out_lon, out_cos = lat[1:].copy(), lon[1:].copy(), cos_lat[1:].copy()
     best = np.full(n - 1, np.inf)
     via = np.zeros(n - 1, dtype=np.int64)
     heads = np.empty(n - 1, dtype=np.int64)
@@ -133,17 +130,17 @@ def prim_spanning_tree(points) -> SpanningTree:
     weights = np.empty(n - 1)
     u = 0
     for step, m in enumerate(range(n - 1, 0, -1)):
-        h = haversine_h(lat[u], lon[u], cos_lat[u], out_lat[:m], out_lon[:m], out_cos[:m])
-        closer = h < best[:m]
-        best[:m][closer] = h[closer]
+        others = out_idx[:m]
+        row = kernel(np.minimum(u, others), np.maximum(u, others))
+        closer = row < best[:m]
+        best[:m][closer] = row[closer]
         via[:m][closer] = u
         j = int(np.argmin(best[:m]))
         v = int(out_idx[j])
         heads[step], tails[step], weights[step] = via[j], v, best[j]
         u = v
-        for arr in (out_idx, out_lat, out_lon, out_cos, best, via):
+        for arr in (out_idx, best, via):
             arr[j], arr[m - 1] = arr[m - 1], arr[j]
-    weights = h_meters(weights)
     order = np.argsort(weights, kind="stable")
     return SpanningTree(n, heads[order], tails[order], weights[order])
 
@@ -151,18 +148,20 @@ def prim_spanning_tree(points) -> SpanningTree:
 def assert_same_clusterings(points, tree: SpanningTree, reference: SpanningTree):
     """tree agrees with reference wherever a cut or a probe can look.
 
-    The weights are equal arrays, each weight is its pairwise_meters value,
-    and at radius 0, at every weight and at the floats on either side of it
-    the cuts and the largest components are equal.  Between two distinct
-    weights the cut does not change, so the cuts are compared once per run
-    of equal weights: every edge of either tree up to the run's end must join
-    points that the other tree's edges up to there already join.  The
-    largest components may differ inside a run of ties; a probe reads them
-    only at a run's end.
+    The weights are equal arrays, each weight is its pairwise_meters value
+    and its haversine_distance, and at radius 0, at every weight and at the
+    floats on either side of it the cuts and the largest components are
+    equal.  Between two distinct weights the cut does not change, so the
+    cuts are compared once per run of equal weights: every edge of either
+    tree up to the run's end must join points that the other tree's edges up
+    to there already join.  The largest components may differ inside a run
+    of ties; a probe reads them only at a run's end.
     """
     assert np.array_equal(tree.weights, reference.weights)
     dense = [pairwise_meters([points[a], points[b]])[0, 1] for a, b in zip(tree.heads, tree.tails)]
     assert np.array_equal(tree.weights, np.array(dense).reshape(-1))
+    scalar = [haversine_distance(points[a], points[b]) for a, b in zip(tree.heads.tolist(), tree.tails.tolist())]
+    assert tree.weights.tolist() == scalar
     radii = {0.0}
     for w in tree.weights.tolist():
         radii.update((np.nextafter(w, 0.0), w, np.nextafter(w, np.inf)))
@@ -301,6 +300,23 @@ def test_tree_over_other_points_rejected():
         binary_search_clusters(
             points, config, Feasibility.MIN_CLUSTER_COUNT, tree=spanning_tree(points[:2])
         )
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [GeoPoint(math.nan, 114.0), GeoPoint(22.3, math.inf), GeoPoint(22.3, -math.inf), GeoPoint(100.0, 114.0), GeoPoint(22.3, 400.0)],
+    ids=["nan", "inf", "-inf", "lat-100", "lon-400"],
+)
+def test_bad_coordinate_is_a_value_error_naming_the_point(bad):
+    points = [east(0), east(50), bad, east(100)]
+    searches = [
+        lambda: spanning_tree(points),
+        lambda: binary_search_clusters(points, ClusterConfig(), Feasibility.MAX_SIZE_CAP),
+        lambda: recursive_dbscan(points, ClusterConfig()),
+    ]
+    for search in searches:
+        with pytest.raises(ValueError, match=r"^point 2 coordinate out of range"):
+            search()
 
 
 def test_subtree_across_clusters_rejected():

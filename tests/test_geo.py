@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,10 +8,9 @@ from hypothesis import strategies as st
 from routeforge.geo import (
     METERS_PER_RADIAN,
     GeoPoint,
-    h_meters,
+    HaversineKernel,
     haversine_distance,
-    haversine_h,
-    radian_arrays,
+    pairwise_meters,
 )
 
 # One degree along the equator on the fixed sphere radius, R * pi / 180.
@@ -57,15 +57,42 @@ def test_symmetry(p, q):
     assert haversine_distance(a, b) == haversine_distance(b, a)
 
 
-@given(coords, coords)
+anywhere = st.tuples(st.floats(min_value=-90.0, max_value=90.0), st.floats(min_value=-180.0, max_value=180.0))
+
+
+@st.composite
+def far_pairs(draw):
+    """Near-antipodal pairs, and pairs near a pole or across lon 180."""
+    lat, lon = draw(anywhere)
+    dlat = draw(st.floats(min_value=-1e-3, max_value=1e-3))
+    dlon = draw(st.floats(min_value=-1e-3, max_value=1e-3))
+    kind = draw(st.sampled_from(["antipode", "pole", "antimeridian"]))
+    if kind == "antipode":
+        a = (lat, lon)
+        b = (-lat + dlat, lon - math.copysign(180.0, lon) + dlon)
+    elif kind == "pole":
+        pole = draw(st.sampled_from([-90.0, 90.0]))
+        a = (pole - math.copysign(abs(dlat), pole), lon)
+        b = (pole - math.copysign(abs(dlon), pole), draw(anywhere)[1])
+    else:
+        a = (lat, 180.0 - abs(dlon))
+        b = (lat + dlat, -180.0 + abs(dlat))
+    clamp = lambda p: (min(90.0, max(-90.0, p[0])), min(180.0, max(-180.0, p[1])))
+    return clamp(a), clamp(b)
+
+
+@given(st.lists(st.one_of(st.tuples(coords, coords), far_pairs()), min_size=1, max_size=40))
 @settings(max_examples=150, deadline=None)
-def test_array_kernel_agrees_with_scalar_reference(p, q):
-    # numpy's and math's sin may round apart by an ulp, which near the
-    # antipode moves the distance by centimeters
-    a, b = GeoPoint(*p), GeoPoint(*q)
-    meters = h_meters(haversine_h(*radian_arrays([a]), *radian_arrays([b])))
-    assert meters.shape == (1,)
-    assert meters[0] == pytest.approx(haversine_distance(a, b), rel=1e-8, abs=1e-6)
+def test_array_kernel_agrees_with_scalar_reference(pairs):
+    points = [GeoPoint(*p) for pair in pairs for p in pair]
+    kernel = HaversineKernel(points)
+    i = np.arange(0, len(points), 2)
+    meters = kernel(i, i + 1)
+    assert meters.shape == (len(pairs),)
+    assert meters.tolist() == [haversine_distance(points[a], points[a + 1]) for a in i.tolist()]
+    # and every cell of the symmetric fill, both triangles, to the bit
+    dense = pairwise_meters(points)
+    assert dense.tolist() == [[haversine_distance(p, q) for q in points] for p in points]
 
 
 @given(coords, coords, coords)

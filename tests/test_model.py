@@ -90,8 +90,11 @@ def test_instance_rejects_bad_numbers():
     with pytest.raises(InvalidInstanceError):
         make_instance([100.0], demands=[-1])
     depot = Depot(GeoPoint(95.0, 0.0), WIDE)
-    with pytest.raises(InvalidInstanceError):
+    with pytest.raises(InvalidInstanceError, match=r"^depot coordinate out of range"):
         ProblemInstance(depot, (Waypoint(1, east(1), 1, WIDE),), (Vehicle(1, 30),), TravelModel(10.0))
+    for bad in (GeoPoint(math.nan, 0.0), GeoPoint(0.0, -math.inf), GeoPoint(0.0, 400.0)):
+        with pytest.raises(InvalidInstanceError, match=r"^waypoint 1 coordinate out of range"):
+            ProblemInstance(Depot(east(0), WIDE), (Waypoint(1, bad, 1, WIDE),), (Vehicle(1, 30),), TravelModel(10.0))
 
 
 def test_demand_beyond_every_vehicle_is_rejected():

@@ -32,7 +32,6 @@ from routeforge.solver import (
     EVALS_PER_MS,
     MIN_GAIN_M,
     NEIGHBORS,
-    _ROW_BLOCK,
     DistanceMatrix,
     InfeasibleError,
     SolverParams,
@@ -716,16 +715,14 @@ def test_matrix_cells_are_the_scalar_kernel_bit_for_bit(drawn):
 
 def scalar_build_matrix(instance):
     """build_matrix with one geo.haversine_distance call per cell, the
-    reference for the block kernel geo.haversine_upper."""
+    reference for geo.pairwise_meters and its block kernel."""
     points = [instance.depot.location] + [w.location for w in instance.waypoints]
     n = len(points)
     arr = np.zeros((n, n))
     for i in range(n - 1):
         p_i = points[i]
         arr[i, i + 1 :] = [haversine_distance(p_i, q) for q in points[i + 1 :]]
-    for a in range(0, n, _ROW_BLOCK):
-        b = a + _ROW_BLOCK
-        arr[a:b, :b] += arr[:b, a:b].T
+    arr = arr + arr.T
     arr[:, 0] = 0.0
     return DistanceMatrix(arr)
 
