@@ -24,6 +24,7 @@ import numpy as np
 
 from .clusterer import ClusterConfig, NoSolutionFoundError
 from .geo import GeoPoint, haversine_distance
+from .geo import worker_cap as _worker_cap
 from .model import (
     Depot,
     ProblemInstance,
@@ -34,7 +35,7 @@ from .model import (
     Waypoint,
     plan_to_dict,
 )
-from .pipeline import Strategy, _worker_cap, run_strategy
+from .pipeline import Strategy, run_strategy
 from .solver import SolverParams
 
 SPEED_MPS = 10.0

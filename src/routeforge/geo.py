@@ -3,11 +3,21 @@
 HaversineKernel, the array form of haversine_distance, is the one array
 distance kernel: the solver's matrix (pairwise_meters) and the clustering
 tree both use it, so each of their values equals haversine_distance to the bit.
+
+pairwise_meters fills a large matrix on every usable CPU: forked children
+fill contiguous row ranges of one shared mapping, each cell through the same
+kernel call, so the array is bit for bit the one-process fill.  usable_cpus
+(the CPU affinity, capped by ROUTE_FORGE_THREADS) sizes both this fill and
+the pipeline's pool; ROUTE_FORGE_THREADS=1 keeps both in one process.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
+import multiprocessing
+import os
+import threading
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -23,6 +33,10 @@ METERS_PER_RADIAN = 6_371_008.8
 # calls at every n, few enough that the block's temporaries stay small.
 _UPPER_BLOCK = 1 << 15
 _MIRROR_BLOCK = 256  # rows per block of the pairwise_meters mirror pass
+# Fewest upper-triangle cells that pairwise_meters splits across processes.
+# Below it, starting and placing a child costs more than the half of the
+# fill it takes over: on a 2-vCPU Xeon the two met near 65k cells.
+_FORK_MIN_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -88,20 +102,65 @@ class HaversineKernel:
         return 2.0 * METERS_PER_RADIAN * arc
 
 
-def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
-    """The full symmetric (n, n) array of haversine_distance in meters, equal
-    to the last bit, with 0.0 on the diagonal.
+def worker_cap(requested: int) -> int:
+    """Cap a worker count by the ROUTE_FORGE_THREADS environment variable."""
+    cap = os.environ.get("ROUTE_FORGE_THREADS")
+    if cap:
+        try:
+            requested = min(requested, max(1, int(cap)))
+        except ValueError:
+            pass
+    return max(1, requested)
 
-    HaversineKernel fills the upper triangle a block of whole rows at a
-    time, and adding the transpose mirrors it exactly, because x + 0.0 == x.
-    """
-    n = len(points)
-    out = np.zeros((n, n))
-    kernel = HaversineKernel(points)
-    flat = out.reshape(-1)
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on, capped by ROUTE_FORGE_THREADS."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity, and no safe fork (macOS, Windows)
+        return 1
+    return worker_cap(cpus)
+
+
+def place_on(cpu: int) -> None:
+    """Move this process to `cpu`, then let it run on the CPUs it inherited
+    again: placed, not pinned.  Left to the scheduler, a process and the
+    child it just forked can share one CPU for a whole fill or pool phase;
+    the restored set still lets the scheduler move a process off a CPU that
+    another process keeps busy.  Where the affinity calls fail, the process
+    runs where it is."""
+    try:
+        inherited = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, inherited)
+    except OSError:
+        pass
+
+
+def _fill_workers(cells: int) -> int:
+    """How many processes fill `cells` upper-triangle cells.  One, unless
+    the fill is large enough to pay for a fork and forking is safe here: a
+    daemonic process (a multiprocessing.Pool worker) may not start
+    children, and a fork would copy whatever locks other threads hold."""
+    if cells < _FORK_MIN_CELLS or multiprocessing.current_process().daemon or threading.active_count() > 1:
+        return 1
+    return usable_cpus()
+
+
+def _row_ranges(n: int, parts: int) -> list[tuple[int, int]]:
+    """Rows 0..n-2 of the upper triangle as `parts` contiguous [lo, hi)
+    ranges of about equal cell count; the last ones may be empty."""
+    before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # cells in rows < r
+    bounds = np.searchsorted(before, before[-1] * np.arange(parts + 1) / parts).tolist()
+    return list(zip(bounds, bounds[1:]))
+
+
+def _fill_upper(kernel: HaversineKernel, flat: np.ndarray, n: int, lo: int, hi: int) -> None:
+    """Write the cells i < j of rows lo..hi-1 into the row-major n * n `flat`,
+    a block of whole rows at a time."""
     step = max(1, _UPPER_BLOCK // max(n, 1))
-    for a in range(0, n - 1, step):
-        rows = np.arange(a, min(a + step, n - 1))
+    for a in range(lo, hi, step):
+        rows = np.arange(a, min(a + step, hi))
         counts = n - 1 - rows
         cells = int(counts.sum())
         i = np.repeat(rows, counts)
@@ -109,6 +168,57 @@ def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
         # one at offset s_r + k holds j = r + 1 + k.
         j = np.arange(cells) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
         flat[i * n + j] = kernel(i, j)
+
+
+def _fill_on(cpu: int, kernel: HaversineKernel, flat: np.ndarray, n: int, lo: int, hi: int) -> None:
+    place_on(cpu)
+    _fill_upper(kernel, flat, n, lo, hi)
+
+
+def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
+    """The full symmetric (n, n) array of haversine_distance in meters, equal
+    to the last bit, with 0.0 on the diagonal.
+
+    HaversineKernel fills the upper triangle, and adding the transpose
+    mirrors it exactly, because x + 0.0 == x.  The upper triangle is split
+    into contiguous row ranges of equal cell count, one per process (see
+    _fill_workers): this process fills the first, and forked children fill
+    the rest into one shared anonymous mapping.  The kernel is elementwise,
+    so every cell is the same float whatever the split.  A child that fails
+    makes the fill raise RuntimeError; no child outlives the call.
+    """
+    n = len(points)
+    kernel = HaversineKernel(points)
+    own, *rest = _row_ranges(n, _fill_workers(n * (n - 1) // 2))
+    rest = [(lo, hi) for lo, hi in rest if lo < hi]
+    # Children write into a shared anonymous mapping; it starts zeroed, as
+    # np.zeros does.
+    out = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=np.float64).reshape(n, n) if rest else np.zeros((n, n))
+    flat = out.reshape(-1)
+    cpus = sorted(os.sched_getaffinity(0)) if rest else []
+    children = []
+    try:
+        for k, (lo, hi) in enumerate(rest, start=1):
+            child = multiprocessing.get_context("fork").Process(
+                target=_fill_on, args=(cpus[k % len(cpus)], kernel, flat, n, lo, hi), daemon=True
+            )
+            child.start()
+            children.append(child)
+        if cpus:
+            place_on(cpus[0])
+        _fill_upper(kernel, flat, n, *own)
+        for child in children:
+            child.join()
+    finally:
+        for child in children:
+            if child.exitcode is None:
+                child.terminate()
+                child.join()
+    for child, (lo, hi) in zip(children, rest):
+        if child.exitcode != 0:
+            raise RuntimeError(
+                f"pairwise_meters: the child filling rows {lo}..{hi - 1} exited with code {child.exitcode}"
+            )
     # Block by rows so that the transpose's copy stays small: rows a..b
     # read only columns a..b, which no earlier block wrote.
     for a in range(0, n, _MIRROR_BLOCK):

@@ -44,6 +44,7 @@ from .clusterer import (
     cluster_order,
     recursive_dbscan,
 )
+from .geo import place_on, usable_cpus
 from .model import (
     ProblemInstance,
     Route,
@@ -91,25 +92,6 @@ def _sub_solve(
         return exc
 
 
-def _worker_cap(requested: int) -> int:
-    """Cap a worker count by the ROUTE_FORGE_THREADS environment variable."""
-    cap = os.environ.get("ROUTE_FORGE_THREADS")
-    if cap:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
-
-
-def _usable_cpus() -> int:
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity, and no safe fork (macOS, Windows)
-        return 1
-    return _worker_cap(cpus)
-
-
 # A sub-solve's plan, or why it was infeasible.
 _SubSolve = Union[RoutePlan, InfeasibleError]
 
@@ -129,14 +111,7 @@ def _presolve_init(
 ) -> None:
     global _presolve_job
     _presolve_job = (instance, members, params)
-    # Placed, not pinned: see the module docstring.
-    cpu = cpus.get()
-    try:
-        inherited = os.sched_getaffinity(0)
-        os.sched_setaffinity(0, {cpu})
-        os.sched_setaffinity(0, inherited)
-    except OSError:
-        pass
+    place_on(cpus.get())
 
 
 def _presolve(index: int) -> _SubSolve:
@@ -169,9 +144,10 @@ def _solve_in_order(
 
     With more than one usable CPU and more than one list, the lists are
     pre-solved in a process pool; see the module docstring for why the plan
-    does not depend on it.
+    does not depend on it.  One list is solved in process, where the matrix
+    fill (geo.pairwise_meters) uses the usable CPUs instead.
     """
-    workers = min(_usable_cpus(), len(members))
+    workers = min(usable_cpus(), len(members))
     # A daemonic process (a multiprocessing.Pool worker) may not start children.
     if workers <= 1 or multiprocessing.current_process().daemon:
         return _assign_vehicles(instance, members, params, itertools.repeat(None))

@@ -13,8 +13,10 @@ search reads single cells through per-row memoryviews.  The cells come
 from geo.pairwise_meters, the fill of the package's one array distance
 kernel, so every cell equals the scalar geo.haversine_distance to the last
 bit and plans keep the exact bits they had when each cell was one scalar
-call.  The solver does not validate its plans; pipeline.run_strategy
-validates the plan it returns.
+call.  For a large matrix outside a pool worker the fill runs on every
+usable CPU, and ROUTE_FORGE_THREADS=1 keeps it in one process; the cells
+are the same either way.  The solver does not validate its plans;
+pipeline.run_strategy validates the plan it returns.
 
 The local search keeps a table of every stop's position in its route and
 rebuilds it only for the routes that an accepted move changed, so a move

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from routeforge import pipeline
+from routeforge import geo, pipeline
 from routeforge.bench import GeneratorConfig, generate_instance
 from routeforge.clusterer import (
     Cluster,
@@ -16,7 +16,7 @@ from routeforge.clusterer import (
     NoSolutionFoundError,
     RecursionLimitError,
 )
-from routeforge.geo import GeoPoint
+from routeforge.geo import GeoPoint, pairwise_meters
 from routeforge.model import (
     Depot,
     ProblemInstance,
@@ -236,13 +236,18 @@ def solve_pooled_and_serial(monkeypatch, solve):
     return runs
 
 
-@pytest.mark.parametrize("strategy", [Strategy.DBSCAN, Strategy.RECURSIVE_DBSCAN])
+@pytest.mark.parametrize("strategy", [Strategy.DBSCAN, Strategy.RECURSIVE_DBSCAN, Strategy.MONOLITHIC])
 def test_pooled_plan_equals_serial_plan(monkeypatch, strategy):
     instance = generate_instance(GeneratorConfig(n_waypoints=1_200, seed=4))
     (pooled, resolved), (serial, serial_solves) = solve_pooled_and_serial(
         monkeypatch, lambda: run_strategy(instance, strategy).plan
     )
     assert pooled == serial
+    if strategy is Strategy.MONOLITHIC:
+        # One group starts no pool: it is solved in process both times, and
+        # with two CPUs only its matrix fill is split across processes.
+        assert serial_solves == resolved == 1
+        return
     # A uniform fleet with vehicles to spare: every pre-solved plan is kept.
     assert serial_solves > 1
     assert resolved == 0
@@ -314,6 +319,28 @@ def test_daemonic_caller_solves_in_process(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     with multiprocessing.get_context("fork").Pool(1) as outer:
         assert outer.apply(two_cluster_plan, (9,)) == two_cluster_plan(9)
+
+
+def fill_in_pool_worker(points):
+    """pairwise_meters in a daemonic pool worker, where os.fork now fails."""
+
+    def refused():
+        raise AssertionError("pairwise_meters forked in a daemonic process")
+
+    os.fork = refused
+    return pairwise_meters(points).tobytes()
+
+
+def test_daemonic_caller_fills_the_matrix_in_process(monkeypatch):
+    # The budgeted bench run relies on this: its daemonic child must stay
+    # one process, whatever the matrix size.
+    instance = generate_instance(GeneratorConfig(n_waypoints=1_200, seed=4))
+    points = [w.location for w in instance.waypoints]
+    monkeypatch.setattr(geo, "usable_cpus", lambda: 1)
+    serial = pairwise_meters(points).tobytes()
+    monkeypatch.setattr(geo, "usable_cpus", lambda: 2)
+    with multiprocessing.get_context("fork").Pool(1) as outer:
+        assert outer.apply_async(fill_in_pool_worker, (points,)).get(timeout=120) == serial
 
 
 def test_thread_cap_solves_in_process(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import mmap
 import pickle
 import random
 from collections import deque
@@ -763,6 +764,26 @@ def test_matrix_equals_scalar_build_on_generated_instance():
     # several full 32k-cell blocks and a short last one
     instance = generate_instance(GeneratorConfig(n_waypoints=400, seed=5))
     assert build_matrix(instance).array.tobytes() == scalar_build_matrix(instance).array.tobytes()
+
+
+def is_shared(array: np.ndarray) -> bool:
+    """Whether the array's memory is an mmap, seen through numpy's
+    memoryview of it."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_matrix_filled_by_several_processes_equals_scalar_build(monkeypatch, workers):
+    monkeypatch.setattr(geo, "usable_cpus", lambda: workers)
+    instance = generate_instance(GeneratorConfig(n_waypoints=600, seed=6))
+    matrix = build_matrix(instance)
+    # column 0 zeroed on the shared mapping the children filled
+    assert is_shared(matrix.array)
+    assert matrix.array.flags.c_contiguous and matrix.array.flags.writeable
+    assert not matrix.array[:, 0].any()
+    assert matrix.array.tobytes() == scalar_build_matrix(instance).array.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
