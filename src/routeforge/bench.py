@@ -229,7 +229,7 @@ def _run_budgeted(instance, strategy, cluster_config, params, budget: BudgetConf
 
     ctx = mp.get_context("fork")
     parent_conn, child_conn = ctx.Pipe(duplex=False)
-    # Daemonic, so the solve starts no pool: the limits fence one process,
+    # Daemonic, so the solve forks no children: the limits fence one process,
     # and terminating it leaves nothing behind.
     proc = ctx.Process(
         target=_budget_child,
@@ -307,7 +307,7 @@ def _run_cell(
 
 
 def _solve_in_process() -> None:
-    """Bench workers already fill the CPUs, so their solves start no pool."""
+    """Bench workers already fill the CPUs, so their solves fork no children."""
     os.environ["ROUTE_FORGE_THREADS"] = "1"
 
 

@@ -8,7 +8,8 @@ pairwise_meters fills a large matrix on every usable CPU: forked children
 fill contiguous row ranges of one shared mapping, each cell through the same
 kernel call, so the array is bit for bit the one-process fill.  usable_cpus
 (the CPU affinity, capped by ROUTE_FORGE_THREADS) sizes both this fill and
-the pipeline's pool; ROUTE_FORGE_THREADS=1 keeps both in one process.
+the pipeline's pre-solves, and may_fork decides for both whether forking is
+safe; ROUTE_FORGE_THREADS=1 keeps both in one process.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def usable_cpus() -> int:
 def place_on(cpu: int) -> None:
     """Move this process to `cpu`, then let it run on the CPUs it inherited
     again: placed, not pinned.  Left to the scheduler, a process and the
-    child it just forked can share one CPU for a whole fill or pool phase;
+    child it just forked can share one CPU for a whole fill or pre-solve phase;
     the restored set still lets the scheduler move a process off a CPU that
     another process keeps busy.  Where the affinity calls fail, the process
     runs where it is."""
@@ -137,12 +138,18 @@ def place_on(cpu: int) -> None:
         pass
 
 
+def may_fork() -> bool:
+    """Whether this process may start forked children: the one rule for the
+    matrix fill and the pipeline's pre-solves.  A daemonic process (a fill
+    or pre-solve child, a multiprocessing.Pool worker) may not start
+    children, and a fork would copy whatever locks other threads hold."""
+    return not multiprocessing.current_process().daemon and threading.active_count() == 1
+
+
 def _fill_workers(cells: int) -> int:
     """How many processes fill `cells` upper-triangle cells.  One, unless
-    the fill is large enough to pay for a fork and forking is safe here: a
-    daemonic process (a multiprocessing.Pool worker) may not start
-    children, and a fork would copy whatever locks other threads hold."""
-    if cells < _FORK_MIN_CELLS or multiprocessing.current_process().daemon or threading.active_count() > 1:
+    the fill is large enough to pay for a fork and may_fork() holds."""
+    if cells < _FORK_MIN_CELLS or not may_fork():
         return 1
     return usable_cpus()
 

@@ -12,17 +12,16 @@ stops at the one that takes the last waypoint, and the local search only
 moves stops between the routes it was given.  So a pre-solved plan that used
 vehicles 1..k is exactly the plan the in-order solve would find whenever the
 first k free vehicles have the same capacities, in order.  Any other cluster
-is solved again in order against the free pool, so plans and errors are the
-same on any number of CPUs.
+is solved again in order against the free pool, once every pre-solve has
+ended, so plans and errors are the same on any number of CPUs.
 
-Each pool worker starts on a CPU of its own: it takes one CPU of the usable
-set from a queue, sets its affinity to that CPU alone, then restores the
-set it inherited.  Left to the scheduler, both workers of a two-CPU pool
-can share one CPU for a whole pool phase; restoring the set still lets the
-scheduler move a worker off a CPU that another process keeps busy.  Where
-the affinity calls fail, the worker runs where it started.  A solve that
-succeeds closes the pool and joins its workers, so every worker has run its
-initializer before the solve returns; a failed solve terminates the pool.
+The pre-solves run in forked daemonic children, one per usable CPU up to the
+cluster count, started only where geo.may_fork allows, as the matrix fill's
+children are.  Each child places itself on a CPU of its own (geo.place_on),
+takes cluster indices in solve order from one pipe, so the largest clusters
+go first and the rest balance the load, and sends all its outcomes back
+once, at its end.  The parent joins every child; it terminates the children
+when it fails itself, and raises RuntimeError when a child exits non-zero.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
+from multiprocessing.connection import Connection
 from typing import Iterator, Optional, Union
 
 from .clusterer import (
@@ -44,7 +44,7 @@ from .clusterer import (
     cluster_order,
     recursive_dbscan,
 )
-from .geo import place_on, usable_cpus
+from .geo import may_fork, place_on, usable_cpus
 from .model import (
     ProblemInstance,
     Route,
@@ -76,14 +76,15 @@ def _sub_solve(
     instance: ProblemInstance, members: list[int], vehicle_ids: list[int], params: SolverParams
 ) -> _SubSolve:
     """Solve one cluster against the given vehicles as a dense-id instance:
-    ids 1.. go to the sorted members and to the sorted vehicles."""
+    ids 1.. go to the sorted members and to the sorted vehicles.  A waypoint
+    or vehicle whose id does not change is the instance's own object."""
     waypoints = tuple(
-        replace(instance.waypoints[idx], id=new_id)
-        for new_id, idx in enumerate(sorted(members), start=1)
+        w if w.id == new_id else replace(w, id=new_id)
+        for new_id, w in enumerate((instance.waypoints[idx] for idx in sorted(members)), start=1)
     )
     vehicles = tuple(
-        replace(instance.vehicle(original_id), id=new_id)
-        for new_id, original_id in enumerate(sorted(vehicle_ids), start=1)
+        v if v.id == new_id else replace(v, id=new_id)
+        for new_id, v in enumerate(map(instance.vehicle, sorted(vehicle_ids)), start=1)
     )
     sub = ProblemInstance(instance.depot, waypoints, vehicles, instance.travel)
     try:
@@ -95,29 +96,78 @@ def _sub_solve(
 # A sub-solve's plan, or why it was infeasible.
 _SubSolve = Union[RoutePlan, InfeasibleError]
 
-# What a pool worker pre-solves: the instance, the cluster members in solve
-# order and the solver settings.  Only pool workers set it.  The fork start
-# method hands these to the workers without pickling or re-importing, which
-# spawn would need per worker; the package itself starts no threads that a
-# fork could catch mid-update.
-_presolve_job: Optional[tuple[ProblemInstance, list[list[int]], SolverParams]] = None
+# Bytes per cluster index on the pre-solve task pipe.
+_INDEX_BYTES = 4
 
 
-def _presolve_init(
+def _presolve_child(
     instance: ProblemInstance,
     members: list[list[int]],
     params: SolverParams,
-    cpus: multiprocessing.queues.SimpleQueue,
+    cpu: int,
+    source: Connection,
+    feed: Connection,
+    out: Connection,
 ) -> None:
-    global _presolve_job
-    _presolve_job = (instance, members, params)
-    place_on(cpus.get())
+    """Pre-solve the clusters whose indices this child reads from the task
+    pipe, each against the whole fleet, and send [(index, outcome), ...]
+    once the pipe is drained.  The parent writes whole indices, and a pipe
+    read holds the pipe's lock, so each read takes one whole index."""
+    feed.close()  # the pipe ends once the parent closes its write end
+    place_on(cpu)
+    fleet = [v.id for v in instance.vehicles]
+    outcomes = []
+    while record := os.read(source.fileno(), _INDEX_BYTES):
+        index = int.from_bytes(record, "little")
+        outcomes.append((index, _sub_solve(instance, members[index], fleet, params)))
+    out.send(outcomes)
 
 
-def _presolve(index: int) -> _SubSolve:
-    """Solve the index-th cluster in solve order against the whole fleet."""
-    instance, members, params = _presolve_job
-    return _sub_solve(instance, members[index], [v.id for v in instance.vehicles], params)
+def _presolve(
+    instance: ProblemInstance, members: list[list[int]], params: SolverParams, workers: int
+) -> list[_SubSolve]:
+    """Every cluster's outcome against the whole fleet, from `workers`
+    forked children; see the module docstring."""
+    context = multiprocessing.get_context("fork")
+    cpus = sorted(os.sched_getaffinity(0))
+    outcomes: list[_SubSolve] = [None] * len(members)
+    children: list[tuple[multiprocessing.Process, Connection]] = []
+    source, feed = context.Pipe(duplex=False)
+    try:
+        for k in range(workers):
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(
+                target=_presolve_child,
+                args=(instance, members, params, cpus[k], source, feed, writer),
+                daemon=True,
+            )
+            child.start()
+            writer.close()
+            children.append((child, reader))
+        source.close()
+        tasks = memoryview(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(members))))
+        while tasks:
+            tasks = tasks[os.write(feed.fileno(), tasks) :]
+        feed.close()
+        for child, reader in children:
+            try:
+                for index, outcome in reader.recv():
+                    outcomes[index] = outcome
+            except EOFError:  # the child exited without sending
+                pass
+            child.join()
+    finally:
+        source.close()
+        feed.close()
+        for child, reader in children:
+            reader.close()
+            if child.exitcode is None:
+                child.terminate()
+                child.join()
+    for k, (child, _) in enumerate(children):
+        if child.exitcode != 0:
+            raise RuntimeError(f"pre-solve child {k} of {workers} exited with code {child.exitcode}")
+    return outcomes
 
 
 def optimise_clusters(
@@ -143,32 +193,14 @@ def _solve_in_order(
     """Solve each list of waypoint indices, in order, against the shared pool.
 
     With more than one usable CPU and more than one list, the lists are
-    pre-solved in a process pool; see the module docstring for why the plan
-    does not depend on it.  One list is solved in process, where the matrix
-    fill (geo.pairwise_meters) uses the usable CPUs instead.
+    pre-solved in forked children first; see the module docstring for why
+    the plan does not depend on it.  One list is solved in process, where
+    the matrix fill (geo.pairwise_meters) uses the usable CPUs instead.
     """
     workers = min(usable_cpus(), len(members))
-    # A daemonic process (a multiprocessing.Pool worker) may not start children.
-    if workers <= 1 or multiprocessing.current_process().daemon:
+    if workers <= 1 or not may_fork():
         return _assign_vehicles(instance, members, params, itertools.repeat(None))
-    context = multiprocessing.get_context("fork")
-    cpus = context.SimpleQueue()
-    for cpu in sorted(os.sched_getaffinity(0))[:workers]:
-        cpus.put(cpu)
-    pool = context.Pool(workers, _presolve_init, (instance, members, params, cpus))
-    try:
-        plan = _assign_vehicles(instance, members, params, pool.imap(_presolve, range(len(members))))
-    except BaseException:
-        # A failed solve does not wait for the pre-solves still running.
-        pool.terminate()
-        raise
-    else:
-        # Every task has been taken; each worker exits on its own.
-        pool.close()
-        pool.join()
-    finally:
-        cpus.close()
-    return plan
+    return _assign_vehicles(instance, members, params, iter(_presolve(instance, members, params, workers)))
 
 
 def _assign_vehicles(

@@ -6,16 +6,18 @@ under a time budget.  The budget is a fixed number of move evaluations
 calibrated to the configured milliseconds, so a plan is a pure function of
 its input and settings; no wall clock enters the solve.
 
-Each solve builds one C-contiguous float64 distance array.  The greedy
-construction takes one masked argmin over an array row per step and the
-neighbor lists come from a partition over blocks of rows, while the local
-search reads single cells through per-row memoryviews.  The cells come
-from geo.pairwise_meters, the fill of the package's one array distance
-kernel, so every cell equals the scalar geo.haversine_distance to the last
-bit and plans keep the exact bits they had when each cell was one scalar
-call.  For a large matrix outside a pool worker the fill runs on every
-usable CPU, and ROUTE_FORGE_THREADS=1 keeps it in one process; the cells
-are the same either way.  The solver does not validate its plans;
+Each solve builds one C-contiguous float64 distance array and, from a
+partition over blocks of its rows, one set of nearest-neighbor lists that
+both phases read.  The greedy construction finds most picks in those lists
+or in the depot row sorted once, and takes a masked argmin over an array
+row only for the steps they leave open; the local search reads single
+cells through per-row memoryviews.  The cells come from
+geo.pairwise_meters, the fill of the package's one array distance kernel,
+so every cell equals the scalar geo.haversine_distance to the last bit and
+plans keep the exact bits they had when each cell was one scalar call.
+For a large matrix outside a pre-solve child the fill runs on every usable
+CPU, and ROUTE_FORGE_THREADS=1 keeps it in one process; the cells are the
+same either way.  The solver does not validate its plans;
 pipeline.run_strategy validates the plan it returns.
 
 The local search keeps a table of every stop's position in its route and
@@ -135,17 +137,38 @@ def build_matrix(instance: ProblemInstance) -> DistanceMatrix:
     return DistanceMatrix(arr)
 
 
-def path_cheapest_arc(instance: ProblemInstance, matrix: DistanceMatrix) -> RoutePlan:
+def path_cheapest_arc(
+    instance: ProblemInstance,
+    matrix: DistanceMatrix,
+    *,
+    neighbors: Optional[list[list[int]]] = None,
+) -> RoutePlan:
     """Greedy construction: always extend with the nearest feasible waypoint.
 
     Vehicles open one at a time in id order; a vehicle closes when no
     remaining waypoint fits its capacity and time constraints.  Ties on
-    distance go to the lower waypoint id, the first minimum argmin returns.
+    distance go to the lower waypoint id.
+
+    Each step's pick is the masked argmin over the row of the last stop,
+    found without that O(n) pass wherever a cheaper rule decides it:
+    - after a waypoint, the first entry of its neighbor list (in (distance,
+      id) order, from _nearest_neighbors unless given) that is unvisited and
+      fits; a list that holds every other waypoint also decides that none fits
+    - at the depot, the first waypoint in (depot distance, id) order that is
+      unvisited and reachable in time, when its demand fits.  Every vehicle
+      leaves the depot at the same time, so a cursor passes each visited or
+      unreachable waypoint once per solve
+    - a vehicle whose free capacity is below every remaining demand closes.
+    Each rule gives exactly the argmin's pick; the argmin runs only when
+    none decides, so plans are bit for bit those of the argmin alone.
     """
     n = instance.n_waypoints
     if n == 0:
         return RoutePlan(())
+    if neighbors is None:
+        neighbors = _nearest_neighbors(matrix.array, n, NEIGHBORS)
     arr = matrix.array
+    rows = matrix.rows
     speed = instance.travel.speed_mps
     e0 = float(instance.depot.window.earliest)
     earliest = np.zeros(n + 1)
@@ -155,14 +178,26 @@ def path_cheapest_arc(instance: ProblemInstance, matrix: DistanceMatrix) -> Rout
         earliest[w.id] = w.window.earliest
         latest[w.id] = w.window.latest
         service[w.id] = w.service_duration
+    # The same float64 values as Python floats, for the per-waypoint checks.
+    earliest_f = earliest.tolist()
+    latest_f = latest.tolist()
     demands = [0] + [w.demand for w in instance.waypoints]
     # object dtype keeps Python's exact integers for demands beyond int64
     demand = np.array(demands, dtype=np.int64 if max(demands) < 2**63 else object)
 
     unvisited = np.ones(n + 1, dtype=bool)
     unvisited[0] = False
+    visited = [False] * (n + 1)
     remaining = n
     routes: list[Route] = []
+    whole_lists = n - 1  # the length of a neighbor list that holds every other waypoint
+    # Waypoints by (depot distance, id), and whether a vehicle leaving the
+    # depot at e0 meets each window: the argmin's time test at the depot.
+    by_depot = (np.argsort(arr[0, 1:], kind="stable") + 1).tolist()
+    reachable = (np.maximum(e0 + arr[0] / speed, earliest) <= latest).tolist()
+    depot_at = 0
+    by_demand = sorted(range(1, n + 1), key=demands.__getitem__)
+    demand_at = 0
 
     for vehicle in instance.vehicles:
         if remaining == 0:
@@ -172,19 +207,46 @@ def path_cheapest_arc(instance: ProblemInstance, matrix: DistanceMatrix) -> Rout
         last = 0
         clock = e0
         stops: list[StopVisit] = []
-        while True:
-            row = arr[last]
-            fits = unvisited & (demand <= capacity - load)
-            fits &= np.maximum(clock + row / speed, earliest) <= latest
-            best_id = int(np.argmin(np.where(fits, row, np.inf)))
-            if not fits[best_id]:
+        while remaining:
+            free = capacity - load
+            while visited[by_demand[demand_at]]:
+                demand_at += 1
+            if free < demands[by_demand[demand_at]]:
                 break
-            arrival = clock + float(row[best_id]) / speed
-            start = max(arrival, float(earliest[best_id]))
+            best_id = 0
+            row = rows[last]
+            if last == 0:
+                while depot_at < n and (visited[by_depot[depot_at]] or not reachable[by_depot[depot_at]]):
+                    depot_at += 1
+                if depot_at == n:
+                    break
+                if demands[by_depot[depot_at]] <= free:
+                    best_id = by_depot[depot_at]
+            else:
+                near = neighbors[last]
+                for j in near:
+                    if visited[j] or demands[j] > free:
+                        continue
+                    arrival = clock + row[j] / speed
+                    if (arrival if arrival > earliest_f[j] else earliest_f[j]) <= latest_f[j]:
+                        best_id = j
+                        break
+                else:
+                    if len(near) == whole_lists:
+                        break
+            if best_id == 0:
+                fits = unvisited & (demand <= free)
+                fits &= np.maximum(clock + arr[last] / speed, earliest) <= latest
+                best_id = int(np.argmin(np.where(fits, arr[last], np.inf)))
+                if not fits[best_id]:
+                    break
+            arrival = clock + row[best_id] / speed
+            start = max(arrival, earliest_f[best_id])
             clock = start + service[best_id]
             stops.append(StopVisit(best_id, arrival, clock))
             unvisited[best_id] = False
-            load += int(demand[best_id])
+            visited[best_id] = True
+            load += demands[best_id]
             last = best_id
             remaining -= 1
         if stops:
@@ -256,11 +318,15 @@ def local_search(
     params: SolverParams,
     move_listener: Optional[Callable[[RoutePlan, float], None]] = None,
     stats: Optional[dict] = None,
+    *,
+    neighbors: Optional[list[list[int]]] = None,
 ) -> RoutePlan:
     """Improve a feasible plan with first-improvement neighborhood moves.
 
     The plan must visit every waypoint exactly once; otherwise ValueError
-    names the waypoints that are missing, visited twice or unknown.
+    names the waypoints that are missing, visited twice or unknown.  The
+    candidates for each stop are its NEIGHBORS nearest waypoints, from
+    _nearest_neighbors unless `neighbors` gives them.
 
     Neighborhoods: intra-route 2-opt, intra-route relocate, inter-route
     relocate and inter-route swap.  A move is accepted only when it keeps the
@@ -305,7 +371,8 @@ def local_search(
             pos[j] = k
         routes.append(work)
 
-    neighbors = _nearest_neighbors(matrix.array, n, NEIGHBORS)
+    if neighbors is None:
+        neighbors = _nearest_neighbors(matrix.array, n, NEIGHBORS)
 
     def schedule_ok(stops: list[int]) -> bool:
         clock = e0
@@ -519,6 +586,7 @@ def solve_cvrptw(
     params: Optional[SolverParams] = None,
 ) -> RoutePlan:
     """Construct and polish a plan; its busy set is `plan.busy_vehicles`.
+    The neighbor lists are computed once, for both phases.
 
     Raises InfeasibleError when the fleet cannot cover every waypoint.  The
     plan is not validated here: pipeline.run_strategy validates the plan it
@@ -526,5 +594,6 @@ def solve_cvrptw(
     """
     params = params or SolverParams()
     matrix = build_matrix(instance)
-    plan = path_cheapest_arc(instance, matrix)
-    return local_search(plan, instance, matrix, params)
+    neighbors = _nearest_neighbors(matrix.array, instance.n_waypoints, NEIGHBORS)
+    plan = path_cheapest_arc(instance, matrix, neighbors=neighbors)
+    return local_search(plan, instance, matrix, params, neighbors=neighbors)

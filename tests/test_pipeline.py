@@ -2,6 +2,8 @@ import json
 import math
 import multiprocessing
 import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -355,6 +357,82 @@ def test_thread_cap_solves_in_process(monkeypatch):
     monkeypatch.setattr(pipeline, "solve_cvrptw", counted)
     assert two_cluster_plan(9) is not None
     assert sorted(solves) == [10, 10]
+
+
+def test_caller_running_a_second_thread_solves_in_process(monkeypatch):
+    # A fork would copy whatever locks the other thread holds.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
+    solves = []
+
+    def counted(sub, params):
+        solves.append(sub.n_waypoints)
+        return solve_cvrptw(sub, params)
+
+    monkeypatch.setattr(pipeline, "solve_cvrptw", counted)
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        plan = two_cluster_plan(9)
+    finally:
+        done.set()
+        other.join()
+    assert sorted(solves) == [10, 10]
+    # alone again, the process pre-solves both clusters in children, where
+    # its counter does not see them
+    assert two_cluster_plan(9) == plan
+    assert sorted(solves) == [10, 10]
+
+
+def exit_in_child(code):
+    parent = os.getpid()
+
+    def solve(sub, params):
+        if os.getpid() != parent:
+            os._exit(code)
+        return solve_cvrptw(sub, params)
+
+    return solve
+
+
+def stall_parent(monkeypatch):
+    """Pre-solves that take a minute, and a parent that fails while it
+    waits for them."""
+    parent = os.getpid()
+
+    def slow(sub, params):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return solve_cvrptw(sub, params)
+
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "solve_cvrptw", slow)
+    monkeypatch.setattr(pipeline.Connection, "recv", interrupted)
+
+
+@pytest.mark.parametrize("failure", ["child exits 3", "parent interrupted", "cluster infeasible"])
+def test_failed_solve_leaves_no_child(monkeypatch, failure):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
+    started = time.perf_counter()
+    if failure == "child exits 3":
+        monkeypatch.setattr(pipeline, "solve_cvrptw", exit_in_child(3))
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            two_cluster_plan(9)
+    elif failure == "parent interrupted":
+        stall_parent(monkeypatch)
+        with pytest.raises(KeyboardInterrupt):
+            two_cluster_plan(9)
+        # the children were terminated, not waited for
+        assert time.perf_counter() - started < 30
+    else:
+        instance = grid_instance(np.random.default_rng(3), 20, 1, 10, centers=[(0.0, 0.0), (0.0, 0.05)])
+        with pytest.raises(NoSolutionFoundError, match="vehicle pool exhausted"):
+            optimise_clusters(split_clusters(instance, 10), instance)
+    assert multiprocessing.active_children() == []
 
 
 # --- worker placement ---

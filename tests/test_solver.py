@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from routeforge import geo
+from routeforge import geo, solver
 from routeforge.bench import GeneratorConfig, WindowStyle, generate_instance
 from routeforge.geo import METERS_PER_RADIAN, GeoPoint, haversine_distance
 from routeforge.model import (
@@ -389,7 +389,8 @@ def test_toy_instances_land_near_optimum(seed):
 
 def scalar_cheapest_arc(instance, matrix):
     """The greedy construction as one Python scan per step over the matrix
-    cells, the reference for the masked argmin in path_cheapest_arc."""
+    cells, the reference for path_cheapest_arc's neighbor lists, depot
+    cursor and masked argmin."""
     n = instance.n_waypoints
     speed = instance.travel.speed_mps
     e0 = float(instance.depot.window.earliest)
@@ -786,26 +787,35 @@ def test_matrix_filled_by_several_processes_equals_scalar_build(monkeypatch, wor
     assert matrix.array.tobytes() == scalar_build_matrix(instance).array.tobytes()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(
     drawn=node_sets(),
+    capacities=st.lists(st.integers(0, 20), min_size=1, max_size=4),
     n_vehicles=st.integers(1, 8),
-    capacity=st.integers(0, 20),
     speed=st.sampled_from([0.5, 10.0, 30.0]),
     tight=st.booleans(),
+    scale=st.sampled_from([1, 2**64]),
+    k=st.sampled_from([1, 2, 3, 4, NEIGHBORS]),
 )
-def test_greedy_equals_scalar_scan(drawn, n_vehicles, capacity, speed, tight):
+def test_greedy_equals_scalar_scan(drawn, capacities, n_vehicles, speed, tight, scale, k):
+    # Lists of 1-4 neighbors run out often, so the masked argmin decides
+    # many steps; at the default length a list often holds every waypoint.
     nodes, rng = drawn
-    instance = instance_on(nodes, rng, n_vehicles, capacity, speed, tight)
+    instance = instance_on(nodes, rng, max(n_vehicles, len(capacities)), max(capacities), speed, tight)
+    # a mixed fleet; at scale 2**64 demands and capacities lie beyond int64
+    fleet = tuple(Vehicle(v.id, capacities[(v.id - 1) % len(capacities)] * scale) for v in instance.vehicles)
+    waypoints = tuple(replace(w, demand=w.demand * scale) for w in instance.waypoints)
+    instance = replace(instance, waypoints=waypoints, vehicles=fleet)
     matrix = build_matrix(instance)
-    try:
-        expected = scalar_cheapest_arc(instance, matrix)
-    except InfeasibleError as exc:
-        with pytest.raises(InfeasibleError) as err:
-            path_cheapest_arc(instance, matrix)
-        assert err.value.unassigned == exc.unassigned
-        return
-    assert path_cheapest_arc(instance, matrix) == expected
+    with mock.patch.object(solver, "NEIGHBORS", k):
+        try:
+            expected = scalar_cheapest_arc(instance, matrix)
+        except InfeasibleError as exc:
+            with pytest.raises(InfeasibleError) as err:
+                path_cheapest_arc(instance, matrix)
+            assert err.value.unassigned == exc.unassigned
+            return
+        assert path_cheapest_arc(instance, matrix) == expected
 
 
 def test_greedy_keeps_demands_beyond_int64_exact():
@@ -817,6 +827,20 @@ def test_greedy_keeps_demands_beyond_int64_exact():
     plan = path_cheapest_arc(instance, matrix)
     assert plan == scalar_cheapest_arc(instance, matrix)
     assert [s.waypoint_id for s in plan.routes[0].stops] == [1, 2]
+    assert validate_solution(plan, instance) == []
+
+
+def test_solve_computes_neighbor_lists_once(monkeypatch):
+    calls = []
+
+    def counted(arr, n, k):
+        calls.append((n, k))
+        return _nearest_neighbors(arr, n, k)
+
+    monkeypatch.setattr(solver, "_nearest_neighbors", counted)
+    instance = generate_instance(GeneratorConfig(n_waypoints=120, seed=3))
+    plan = solve_cvrptw(instance, SolverParams(time_limit_ms=50))
+    assert calls == [(120, NEIGHBORS)]
     assert validate_solution(plan, instance) == []
 
 
