@@ -3,6 +3,9 @@
 HaversineKernel, the array form of haversine_distance, is the one array
 distance kernel: the solver's matrix (pairwise_meters) and the clustering
 tree both use it, so each of their values equals haversine_distance to the bit.
+A distance makes three libm calls (two math.sin, one math.asin); the squares
+of the half-difference sines are IEEE products, correctly rounded in Python
+and numpy alike.
 
 pairwise_meters fills a large matrix on every usable CPU: forked children
 fill contiguous row ranges of one shared mapping, each cell through the same
@@ -20,7 +23,6 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -64,7 +66,9 @@ def haversine_distance(a: GeoPoint, b: GeoPoint) -> float:
     lat2 = math.radians(b.lat)
     dlat = lat2 - lat1
     dlon = math.radians(b.lon - a.lon)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    s_lat = math.sin(dlat / 2.0)
+    s_lon = math.sin(dlon / 2.0)
+    h = s_lat * s_lat + math.cos(lat1) * math.cos(lat2) * (s_lon * s_lon)
     return 2.0 * METERS_PER_RADIAN * math.asin(math.sqrt(h))
 
 
@@ -75,12 +79,12 @@ class HaversineKernel:
     kernel(i, j)[k] equals haversine_distance(points[i[k]], points[j[k]]) to
     the last bit.  numpy does only steps that IEEE 754 rounds correctly, in
     the scalar expression's order: the differences, the halving, np.radians
-    (the same x * (pi / 180) as math.radians), the products, the sum and the
-    square root.  math.sin, the ** 2 (libm pow, through float.__pow__) and
-    math.asin run through map over Python floats, so every libm call gets the
-    scalar kernel's argument.  lat holds the latitudes in radians, lon the
-    longitudes in degrees and cos_lat math.cos of lat: the values every cell
-    reads.  Coordinates must pass check_coordinate, so that the haversine
+    (the same x * (pi / 180) as math.radians), the squares and the other
+    products, the sum and the square root.  The three libm calls per cell,
+    math.sin twice and math.asin once, run through map over Python floats,
+    so every libm call gets the scalar kernel's argument.  lat holds the
+    latitudes in radians, lon the longitudes in degrees and cos_lat math.cos
+    of lat: the values every cell reads.  Coordinates must pass check_coordinate, so that the haversine
     term is never negative.
     """
 
@@ -92,13 +96,12 @@ class HaversineKernel:
 
     def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         cells = len(i)
-        # A memoryview iterates as Python floats; pow(x, 2.0) is the call
-        # that x ** 2 makes once it has turned the int 2 into 2.0.
+        # A memoryview iterates as Python floats.
         half_dlat = memoryview((self.lat[j] - self.lat[i]) / 2.0)
         half_dlon = memoryview(np.radians(self.lon[j] - self.lon[i]) / 2.0)
-        sin2_lat = np.fromiter(map(pow, map(math.sin, half_dlat), repeat(2.0)), dtype=np.float64, count=cells)
-        sin2_lon = np.fromiter(map(pow, map(math.sin, half_dlon), repeat(2.0)), dtype=np.float64, count=cells)
-        h = sin2_lat + self.cos_lat[i] * self.cos_lat[j] * sin2_lon
+        s_lat = np.fromiter(map(math.sin, half_dlat), dtype=np.float64, count=cells)
+        s_lon = np.fromiter(map(math.sin, half_dlon), dtype=np.float64, count=cells)
+        h = s_lat * s_lat + self.cos_lat[i] * self.cos_lat[j] * (s_lon * s_lon)
         arc = np.fromiter(map(math.asin, memoryview(np.sqrt(h))), dtype=np.float64, count=cells)
         return 2.0 * METERS_PER_RADIAN * arc
 

@@ -77,10 +77,16 @@ def _sub_solve(
 ) -> _SubSolve:
     """Solve one cluster against the given vehicles as a dense-id instance:
     ids 1.. go to the sorted members and to the sorted vehicles.  A waypoint
-    or vehicle whose id does not change is the instance's own object."""
+    or vehicle whose id does not change is the instance's own object.
+    Members whose demand exceeds every given capacity make the cluster
+    infeasible; the sub-instance would reject them as invalid."""
+    ordered = [instance.waypoints[idx] for idx in sorted(members)]
+    largest = max(instance.vehicle(v).capacity for v in vehicle_ids)
+    oversized = tuple(new_id for new_id, w in enumerate(ordered, start=1) if w.demand > largest)
+    if oversized:
+        return InfeasibleError(oversized)
     waypoints = tuple(
-        w if w.id == new_id else replace(w, id=new_id)
-        for new_id, w in enumerate((instance.waypoints[idx] for idx in sorted(members)), start=1)
+        w if w.id == new_id else replace(w, id=new_id) for new_id, w in enumerate(ordered, start=1)
     )
     vehicles = tuple(
         v if v.id == new_id else replace(v, id=new_id)

@@ -100,6 +100,49 @@ def test_array_kernel_agrees_with_scalar_reference(pairs):
     assert dense.tolist() == [[haversine_distance(p, q) for q in points] for p in points]
 
 
+def _half_sines(a: GeoPoint, b: GeoPoint) -> tuple[float, float]:
+    lat1, lat2 = math.radians(a.lat), math.radians(b.lat)
+    return math.sin((lat2 - lat1) / 2.0), math.sin(math.radians(b.lon - a.lon) / 2.0)
+
+
+def _haversine_squaring_by(square, a: GeoPoint, b: GeoPoint) -> float:
+    s_lat, s_lon = _half_sines(a, b)
+    cos1, cos2 = math.cos(math.radians(a.lat)), math.cos(math.radians(b.lat))
+    h = square(s_lat) + cos1 * cos2 * square(s_lon)
+    return 2.0 * METERS_PER_RADIAN * math.asin(math.sqrt(h))
+
+
+def _product_square(s):
+    return s * s
+
+
+def _pow_square(s):
+    return pow(s, 2.0)
+
+
+def test_squares_are_products_where_pow_differs():
+    # Seeded random pairs of which a half-difference sine s has
+    # pow(s, 2.0) != s * s: libm pow and an IEEE product part in the last bit.
+    rng = np.random.default_rng(11)
+    lats = rng.uniform(-90.0, 90.0, (20_000, 2)).tolist()
+    lons = rng.uniform(-180.0, 180.0, (20_000, 2)).tolist()
+    pairs = [
+        (a, b)
+        for a, b in ((GeoPoint(la, oa), GeoPoint(lb, ob)) for (la, lb), (oa, ob) in zip(lats, lons))
+        if any(_pow_square(s) != _product_square(s) for s in _half_sines(a, b))
+    ]
+    assert len(pairs) >= 10
+    scalar = [haversine_distance(a, b) for a, b in pairs]
+    # Some of them would move the distance itself if squared by pow.
+    assert scalar != [_haversine_squaring_by(_pow_square, a, b) for a, b in pairs]
+    assert scalar == [_haversine_squaring_by(_product_square, a, b) for a, b in pairs]
+    points = [p for pair in pairs for p in pair]
+    i = np.arange(0, len(points), 2)
+    assert HaversineKernel(points)(i, i + 1).tolist() == scalar
+    dense = pairwise_meters(points)
+    assert dense.tolist() == [[haversine_distance(p, q) for q in points] for p in points]
+
+
 @given(coords, coords, coords)
 @settings(max_examples=150, deadline=None)
 def test_triangle_inequality(p, q, r):

@@ -311,6 +311,32 @@ def test_infeasible_cluster_lists_its_own_waypoint_ids(monkeypatch):
     assert set(listed) <= set(range(15, 31))
 
 
+def test_demand_beyond_the_free_pool_is_infeasible_not_invalid(monkeypatch):
+    # Waypoints 1-3 (5 units each) fill the 15-unit vehicle, so waypoint 4's
+    # 12 units exceed every free capacity (10 and 5) but not the fleet's.
+    at = lambda k: GeoPoint(22.3, 114.0 + 0.001 * k)
+    waypoints = tuple(Waypoint(k, at(k), 12 if k == 4 else 5, WIDE) for k in range(1, 5))
+    vehicles = (Vehicle(1, 15), Vehicle(2, 10), Vehicle(3, 5))
+    instance = ProblemInstance(Depot(at(0), WIDE), waypoints, vehicles, TravelModel(10.0))
+    members = [[0, 1, 2], [3]]
+    (pooled, _), (serial, _) = solve_pooled_and_serial(
+        monkeypatch, lambda: pipeline._solve_in_order(instance, members, SolverParams())
+    )
+    assert serial == (
+        "NoSolutionFoundError: sub-solve infeasible for cluster of size 1: "
+        "1 waypoints cannot be assigned: [4]"
+    )
+    assert pooled == serial
+    # run_strategy reports it with the wall time, as every failed solve.
+    clusters = ClusterSet(
+        tuple(Cluster(tuple(m), at(m[0] + 1), radius=1_000, depth=0) for m in members)
+    )
+    monkeypatch.setattr(pipeline, "binary_search_clusters", lambda *args: (clusters, None))
+    with pytest.raises(NoSolutionFoundError, match=r"\[4\]") as err:
+        run_strategy(instance, Strategy.DBSCAN)
+    assert err.value.wall_time_ms >= 0.0
+
+
 def two_cluster_plan(seed):
     instance = grid_instance(np.random.default_rng(seed), 20, 4, 10, centers=[(0.0, 0.0), (0.0, 0.05)])
     return plan_to_dict(optimise_clusters(split_clusters(instance, 10), instance))

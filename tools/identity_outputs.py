@@ -26,12 +26,27 @@ written.  It solves with the ``routeforge`` package found on the import
 path, so running it once with the parent commit's ``src`` and once with the
 change's, then ``diff -r`` of the two trees, shows whether the change kept
 every output.  One run takes about two minutes on a 2-vCPU machine.
+
+Where a change may move floats in their last bits but must keep every
+route, compare the two trees instead of diffing them:
+
+    python3 tools/identity_outputs.py compare DIR_A DIR_B
+
+prints one line per file.  An instance or cluster file reads ``same`` when
+the two copies are byte-equal.  A plan reads ``routes same`` when every
+route has the same vehicle and the same stop ids in the same order, then
+the largest absolute difference between any two floats at the same place
+in the two plans (``drift 0`` for byte-equal plans).  The command exits 0
+when every instance and cluster file is byte-equal and every plan's routes
+are the same, and 1 otherwise (a file in only one tree counts as a
+difference).
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 from dataclasses import replace
@@ -71,9 +86,62 @@ def _case(cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int,
     print(f"{os.path.basename(out)} done", file=sys.stderr)
 
 
+def _files(root: str) -> set[str]:
+    return {
+        os.path.relpath(os.path.join(top, name), root) for top, _, names in os.walk(root) for name in names
+    }
+
+
+def _routes(plan: dict) -> list[tuple[int, list[int]]]:
+    return [(r["vehicle"], [s["id"] for s in r["stops"]]) for r in plan["routes"]]
+
+
+def _drift(a, b) -> float:
+    """The largest absolute difference between floats at the same place in
+    two JSON values of the same shape."""
+    if isinstance(a, dict):
+        return max((_drift(a[k], b[k]) for k in a), default=0.0)
+    if isinstance(a, list):
+        return max((_drift(x, y) for x, y in zip(a, b)), default=0.0)
+    if isinstance(a, float) or isinstance(b, float):
+        return abs(a - b)
+    return 0.0
+
+
+def _compare_file(path_a: str, path_b: str) -> tuple[bool, str]:
+    """Whether the file passes, and its report."""
+    with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
+        raw_a, raw_b = fa.read(), fb.read()
+    if not os.path.basename(path_a).startswith("plan_"):
+        return raw_a == raw_b, "same" if raw_a == raw_b else "DIFFERS"
+    plan_a, plan_b = json.loads(raw_a), json.loads(raw_b)
+    if _routes(plan_a) != _routes(plan_b):
+        return False, "ROUTES DIFFER"
+    return True, f"routes same, drift {_drift(plan_a, plan_b):.3g}"
+
+
+def compare(dir_a: str, dir_b: str) -> int:
+    files_a, files_b = _files(dir_a), _files(dir_b)
+    ok = True
+    for rel in sorted(files_a | files_b):
+        if rel not in files_a or rel not in files_b:
+            passed, report = False, f"ONLY IN {dir_a if rel in files_a else dir_b}"
+        else:
+            passed, report = _compare_file(os.path.join(dir_a, rel), os.path.join(dir_b, rel))
+        ok = ok and passed
+        print(f"{rel}: {report}")
+    return 0 if ok else 1
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
-        print("usage: python3 tools/identity_outputs.py OUT_DIR", file=sys.stderr)
+        print(
+            "usage: python3 tools/identity_outputs.py OUT_DIR\n"
+            "       python3 tools/identity_outputs.py compare DIR_A DIR_B",
+            file=sys.stderr,
+        )
         return 2
     from routeforge import cli
 
