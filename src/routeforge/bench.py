@@ -181,6 +181,12 @@ class BudgetConfig:
     memory_mb: int = 4096
     wall_s: float = 900.0
 
+    def __post_init__(self) -> None:
+        if self.memory_mb < 1:
+            raise ValueError("memory_mb must be >= 1")
+        if not 0.0 < self.wall_s < math.inf:
+            raise ValueError("wall_s must be positive and finite")
+
 
 DEFAULT_SIZES = (100, 250, 500, 1000)
 DEFAULT_REPS = 5

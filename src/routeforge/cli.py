@@ -66,14 +66,16 @@ def _config(cls, **kwargs):
         raise _UsageError(f"bad option value: {exc}") from exc
 
 
+def _positive_int(text: str, rule: str) -> int:
+    """Parse a positive integer; `rule` opens the message that rejects `text`."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+    return int(text)
+
+
 def _waypoint_counts(text: str) -> list[int]:
     """Parse --sizes: comma-separated positive waypoint counts."""
-    sizes = []
-    for tok in filter(None, text.split(",")):
-        if not tok.strip().isdecimal() or int(tok) < 1:
-            raise argparse.ArgumentTypeError(f"waypoint counts must be positive integers, got {tok!r}")
-        sizes.append(int(tok))
-    return sizes
+    return [_positive_int(tok, "waypoint counts must be positive integers") for tok in filter(None, text.split(","))]
 
 
 def _cluster_config(args) -> Optional[ClusterConfig]:
@@ -118,7 +120,7 @@ def _cmd_generate(args) -> int:
         GeneratorConfig,
         n_waypoints=args.n,
         seed=args.seed or 0,
-        demand_range=(1, args.demand_max) if args.demand_max else (1, 4),
+        demand_range=(1, args.demand_max) if args.demand_max is not None else (1, 4),
         window_style=WindowStyle(args.windows),
         fleet_size=args.fleet_size,
         vehicle_capacity=args.capacity if args.capacity is not None else 30,
@@ -201,17 +203,17 @@ def _cmd_bench(args) -> int:
     else:
         strategies = list(Strategy)
     generator = None
-    if args.windows != WindowStyle.WIDE.value or args.capacity is not None or args.demand_max:
+    if args.windows != WindowStyle.WIDE.value or args.capacity is not None or args.demand_max is not None:
         generator = _config(
             GeneratorConfig,
             n_waypoints=1,
-            demand_range=(1, args.demand_max) if args.demand_max else (1, 4),
+            demand_range=(1, args.demand_max) if args.demand_max is not None else (1, 4),
             window_style=WindowStyle(args.windows),
             vehicle_capacity=args.capacity if args.capacity is not None else 30,
         )
     budget = None
     if not args.no_budget:
-        budget = BudgetConfig(memory_mb=args.budget_mb, wall_s=args.budget_wall_s)
+        budget = _config(BudgetConfig, memory_mb=args.budget_mb, wall_s=args.budget_wall_s)
     records = run_benchmark(
         sizes,
         reps,
@@ -290,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the strategy comparison grid")
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument("--sizes", type=_waypoint_counts, default=None, help="comma-separated waypoint counts")
-    p_bench.add_argument("--reps", type=int, default=None)
+    p_bench.add_argument("--reps", type=lambda text: _positive_int(text, "repetitions must be a positive integer"))
     p_bench.add_argument("--strategies", default=None, help="comma-separated subset of strategies")
     p_bench.add_argument("--full", action="store_true", help="500..5000 step 500, 15 repetitions")
     p_bench.add_argument("--seed", type=int, default=None, help="base seed for the grid")

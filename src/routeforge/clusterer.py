@@ -17,16 +17,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
+from .dbscan import DbscanParams, SpanningTree, dbscan, spanning_tree
+
 # pairwise_meters is not called here; it stays bound because
 # perfbench/tracer.py wraps this module's calls into the dbscan layer.
-from .dbscan import (
-    DbscanParams,
-    SpanningTree,
-    dbscan,
-    pairwise_meters,  # noqa: F401
-    spanning_tree,
-)
-from .geo import GeoPoint, haversine_distance
+from .geo import GeoPoint, haversine_distance, pairwise_meters  # noqa: F401
 
 # Beyond this depth the decomposition is assumed to be stuck on pathological
 # input (for example large blocks of coincident points).

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# pairwise_meters is re-exported for clusterer, where perfbench/tracer.py wraps it.
-from .geo import GeoPoint, HaversineKernel, check_coordinate, pairwise_meters  # noqa: F401
+from .geo import GeoPoint, HaversineKernel, check_coordinate
 
 # No package code branches on this point count: every probe cuts the spanning
 # tree at any size.  It stays bound because perfbench/tracer.py reads it to

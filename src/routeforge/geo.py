@@ -9,10 +9,11 @@ and numpy alike.
 
 pairwise_meters fills a large matrix on every usable CPU: forked children
 fill contiguous row ranges of one shared mapping, each cell through the same
-kernel call, so the array is bit for bit the one-process fill.  usable_cpus
-(the CPU affinity, capped by ROUTE_FORGE_THREADS) sizes both this fill and
-the pipeline's pre-solves, and may_fork decides for both whether forking is
-safe; ROUTE_FORGE_THREADS=1 keeps both in one process.
+kernel call, so the array is bit for bit the one-process fill.  fork_join
+starts those children and the pipeline's pre-solve children alike.
+usable_cpus (the CPU affinity, capped by ROUTE_FORGE_THREADS) sizes both,
+and may_fork decides for both whether forking is safe; ROUTE_FORGE_THREADS=1
+keeps both in one process.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -149,6 +151,50 @@ def may_fork() -> bool:
     return not multiprocessing.current_process().daemon and threading.active_count() == 1
 
 
+def fork_join(here: Callable[[], None], jobs: Sequence[tuple[str, int, Callable[[], Any]]]) -> list:
+    """Run each (name, cpu, job) in a forked daemonic child placed on `cpu`,
+    and here() in this process meanwhile.  Return the jobs' values in job
+    order, each sent once over its child's own pipe (None if it sent none).
+    Every child is joined, or terminated when this process fails first; one
+    that exits non-zero raises RuntimeError "{name} exited with code {code}".
+    Callers check may_fork() first; without jobs, no fork context is used."""
+    if not jobs:
+        here()
+        return []
+    context = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for name, cpu, job in jobs:
+            reader, writer = context.Pipe(duplex=False)
+            child = context.Process(target=_run_job, args=(cpu, job, writer), daemon=True)
+            child.start()
+            writer.close()  # so that reading a child that died ends in EOFError
+            children.append((name, child, reader))
+        here()
+        values = []
+        for _, child, reader in children:
+            try:
+                values.append(reader.recv())
+            except EOFError:
+                values.append(None)
+            child.join()
+    finally:
+        for _, child, reader in children:
+            reader.close()
+            if child.exitcode is None:
+                child.terminate()
+                child.join()
+    for name, child, _ in children:
+        if child.exitcode != 0:
+            raise RuntimeError(f"{name} exited with code {child.exitcode}")
+    return values
+
+
+def _run_job(cpu: int, job: Callable[[], Any], out) -> None:
+    place_on(cpu)
+    out.send(job())
+
+
 def _fill_workers(cells: int) -> int:
     """How many processes fill `cells` upper-triangle cells.  One, unless
     the fill is large enough to pay for a fork and may_fork() holds."""
@@ -180,11 +226,6 @@ def _fill_upper(kernel: HaversineKernel, flat: np.ndarray, n: int, lo: int, hi: 
         flat[i * n + j] = kernel(i, j)
 
 
-def _fill_on(cpu: int, kernel: HaversineKernel, flat: np.ndarray, n: int, lo: int, hi: int) -> None:
-    place_on(cpu)
-    _fill_upper(kernel, flat, n, lo, hi)
-
-
 def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
     """The full symmetric (n, n) array of haversine_distance in meters, equal
     to the last bit, with 0.0 on the diagonal.
@@ -192,10 +233,10 @@ def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
     HaversineKernel fills the upper triangle, and adding the transpose
     mirrors it exactly, because x + 0.0 == x.  The upper triangle is split
     into contiguous row ranges of equal cell count, one per process (see
-    _fill_workers): this process fills the first, and forked children fill
-    the rest into one shared anonymous mapping.  The kernel is elementwise,
-    so every cell is the same float whatever the split.  A child that fails
-    makes the fill raise RuntimeError; no child outlives the call.
+    _fill_workers): this process fills the first on the first usable CPU,
+    and fork_join's children fill the rest, on the next CPUs, into one
+    shared anonymous mapping.  The kernel is elementwise, so every cell is
+    the same float whatever the split.  A failed child raises RuntimeError.
     """
     n = len(points)
     kernel = HaversineKernel(points)
@@ -206,29 +247,18 @@ def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
     out = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=np.float64).reshape(n, n) if rest else np.zeros((n, n))
     flat = out.reshape(-1)
     cpus = sorted(os.sched_getaffinity(0)) if rest else []
-    children = []
-    try:
-        for k, (lo, hi) in enumerate(rest, start=1):
-            child = multiprocessing.get_context("fork").Process(
-                target=_fill_on, args=(cpus[k % len(cpus)], kernel, flat, n, lo, hi), daemon=True
-            )
-            child.start()
-            children.append(child)
+    fill = partial(_fill_upper, kernel, flat, n)
+
+    def fill_own() -> None:
         if cpus:
             place_on(cpus[0])
-        _fill_upper(kernel, flat, n, *own)
-        for child in children:
-            child.join()
-    finally:
-        for child in children:
-            if child.exitcode is None:
-                child.terminate()
-                child.join()
-    for child, (lo, hi) in zip(children, rest):
-        if child.exitcode != 0:
-            raise RuntimeError(
-                f"pairwise_meters: the child filling rows {lo}..{hi - 1} exited with code {child.exitcode}"
-            )
+        fill(*own)
+
+    jobs = [
+        (f"pairwise_meters: the child filling rows {lo}..{hi - 1}", cpus[k % len(cpus)], partial(fill, lo, hi))
+        for k, (lo, hi) in enumerate(rest, start=1)
+    ]
+    fork_join(fill_own, jobs)
     # Block by rows so that the transpose's copy stays small: rows a..b
     # read only columns a..b, which no earlier block wrote.
     for a in range(0, n, _MIRROR_BLOCK):

@@ -15,13 +15,12 @@ first k free vehicles have the same capacities, in order.  Any other cluster
 is solved again in order against the free pool, once every pre-solve has
 ended, so plans and errors are the same on any number of CPUs.
 
-The pre-solves run in forked daemonic children, one per usable CPU up to the
-cluster count, started only where geo.may_fork allows, as the matrix fill's
-children are.  Each child places itself on a CPU of its own (geo.place_on),
-takes cluster indices in solve order from one pipe, so the largest clusters
-go first and the rest balance the load, and sends all its outcomes back
-once, at its end.  The parent joins every child; it terminates the children
-when it fails itself, and raises RuntimeError when a child exits non-zero.
+The pre-solves run in the children of geo.fork_join, as the matrix fill
+does, where geo.may_fork allows: one per usable CPU up to the cluster count,
+child k on the k-th usable CPU.  The children take cluster indices in solve
+order from one task pipe, which the parent writes meanwhile, so the largest
+clusters go first and the rest balance the load; each sends all its outcomes
+back once, at its end.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ import os
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from multiprocessing.connection import Connection
 from typing import Iterator, Optional, Union
 
 from .clusterer import (
@@ -44,7 +42,7 @@ from .clusterer import (
     cluster_order,
     recursive_dbscan,
 )
-from .geo import may_fork, place_on, usable_cpus
+from .geo import fork_join, may_fork, usable_cpus
 from .model import (
     ProblemInstance,
     Route,
@@ -106,74 +104,41 @@ _SubSolve = Union[RoutePlan, InfeasibleError]
 _INDEX_BYTES = 4
 
 
-def _presolve_child(
-    instance: ProblemInstance,
-    members: list[list[int]],
-    params: SolverParams,
-    cpu: int,
-    source: Connection,
-    feed: Connection,
-    out: Connection,
-) -> None:
-    """Pre-solve the clusters whose indices this child reads from the task
-    pipe, each against the whole fleet, and send [(index, outcome), ...]
-    once the pipe is drained.  The parent writes whole indices, and a pipe
-    read holds the pipe's lock, so each read takes one whole index."""
-    feed.close()  # the pipe ends once the parent closes its write end
-    place_on(cpu)
-    fleet = [v.id for v in instance.vehicles]
-    outcomes = []
-    while record := os.read(source.fileno(), _INDEX_BYTES):
-        index = int.from_bytes(record, "little")
-        outcomes.append((index, _sub_solve(instance, members[index], fleet, params)))
-    out.send(outcomes)
-
-
 def _presolve(
     instance: ProblemInstance, members: list[list[int]], params: SolverParams, workers: int
 ) -> list[_SubSolve]:
     """Every cluster's outcome against the whole fleet, from `workers`
     forked children; see the module docstring."""
-    context = multiprocessing.get_context("fork")
-    cpus = sorted(os.sched_getaffinity(0))
-    outcomes: list[_SubSolve] = [None] * len(members)
-    children: list[tuple[multiprocessing.Process, Connection]] = []
-    source, feed = context.Pipe(duplex=False)
-    try:
-        for k in range(workers):
-            reader, writer = context.Pipe(duplex=False)
-            child = context.Process(
-                target=_presolve_child,
-                args=(instance, members, params, cpus[k], source, feed, writer),
-                daemon=True,
-            )
-            child.start()
-            writer.close()
-            children.append((child, reader))
-        source.close()
+    fleet = [v.id for v in instance.vehicles]
+    source, feed = multiprocessing.Pipe(duplex=False)
+
+    def drain() -> list[tuple[int, _SubSolve]]:
+        """Pre-solve the clusters whose indices the task pipe holds.  The
+        parent writes whole indices, and a pipe read holds the pipe's lock,
+        so each read takes one whole index."""
+        feed.close()  # the pipe ends once the parent closes its write end
+        outcomes = []
+        while record := os.read(source.fileno(), _INDEX_BYTES):
+            index = int.from_bytes(record, "little")
+            outcomes.append((index, _sub_solve(instance, members[index], fleet, params)))
+        return outcomes
+
+    def write_tasks() -> None:
+        source.close()  # every child holds its own copy by now
         tasks = memoryview(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(members))))
         while tasks:
             tasks = tasks[os.write(feed.fileno(), tasks) :]
         feed.close()
-        for child, reader in children:
-            try:
-                for index, outcome in reader.recv():
-                    outcomes[index] = outcome
-            except EOFError:  # the child exited without sending
-                pass
-            child.join()
+
+    cpus = sorted(os.sched_getaffinity(0))
+    jobs = [(f"pre-solve child {k} of {workers}", cpus[k], drain) for k in range(workers)]
+    try:
+        sent = fork_join(write_tasks, jobs)
     finally:
         source.close()
         feed.close()
-        for child, reader in children:
-            reader.close()
-            if child.exitcode is None:
-                child.terminate()
-                child.join()
-    for k, (child, _) in enumerate(children):
-        if child.exitcode != 0:
-            raise RuntimeError(f"pre-solve child {k} of {workers} exited with code {child.exitcode}")
-    return outcomes
+    found = dict(itertools.chain.from_iterable(sent))
+    return [found[index] for index in range(len(members))]
 
 
 def optimise_clusters(

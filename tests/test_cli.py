@@ -251,6 +251,13 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         (["bench", "--sizes", "0", "--reps", "1"], "positive integers, got '0'"),
         (["bench", "--sizes", "-3", "--reps", "1"], "positive integers, got '-3'"),
         (["solve", "{inst}", "--optimization-step", "nan"], "optimization_step"),
+        (["generate", "--n", "5", "--demand-max", "0"], "demand_range"),
+        (["bench", "--sizes", "30", "--reps", "1", "--demand-max", "0"], "demand_range"),
+        (["bench", "--sizes", "30", "--reps", "0"], "positive integer, got '0'"),
+        (["bench", "--sizes", "30", "--reps", "-2"], "positive integer, got '-2'"),
+        (["bench", "--sizes", "30", "--reps", "1", "--budget-mb", "0"], "memory_mb"),
+        (["bench", "--sizes", "30", "--reps", "1", "--budget-wall-s", "0"], "wall_s"),
+        (["bench", "--sizes", "30", "--reps", "1", "--budget-wall-s", "inf"], "wall_s"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):

@@ -13,10 +13,9 @@ from routeforge.dbscan import (
     EmptyInputError,
     SpanningTree,
     dbscan,
-    pairwise_meters,
     spanning_tree,
 )
-from routeforge.geo import METERS_PER_RADIAN, GeoPoint, HaversineKernel, haversine_distance
+from routeforge.geo import METERS_PER_RADIAN, GeoPoint, HaversineKernel, haversine_distance, pairwise_meters
 
 EQUATOR_DEGREE_M = 111_195.0802335329
 

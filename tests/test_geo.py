@@ -304,3 +304,37 @@ def test_failed_parent_share_stops_every_child(monkeypatch):
         pairwise_meters(random_points(fork_size() + 100, 10))
     assert multiprocessing.active_children() == []
     assert time.perf_counter() - started < 30.0
+
+
+def test_fork_join_returns_in_job_order_and_names_a_failed_job():
+    def job(k):
+        time.sleep(0.1 * (2 - k))  # the first job ends last
+        return k, os.getpid()
+
+    def fails():
+        raise ValueError("the second job fails")
+
+    parent = os.getpid()
+    ran_here = []
+    # three jobs on two CPUs
+    jobs = [(f"job {k}", k % 2, lambda k=k: job(k)) for k in range(3)]
+    values = geo.fork_join(lambda: ran_here.append(os.getpid()), jobs)
+    assert [k for k, _ in values] == [0, 1, 2]
+    assert ran_here == [parent]
+    assert parent not in {pid for _, pid in values} and len({pid for _, pid in values}) == 3
+    jobs[1] = ("job 1", 1, fails)
+    with pytest.raises(RuntimeError, match=r"^job 1 exited with code 1$"):
+        geo.fork_join(lambda: None, jobs)
+    assert multiprocessing.active_children() == []
+
+
+def test_one_process_fill_needs_no_fork_context(monkeypatch):
+    # where fork is missing (Windows), asking for its context raises
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    points = random_points(50, 11)
+    out = pairwise_meters(points)
+    assert out[3, 17] == haversine_distance(points[3], points[17]) == out[17, 3]
+    assert geo.fork_join(lambda: None, []) == []

@@ -436,7 +436,7 @@ def stall_parent(monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(pipeline, "solve_cvrptw", slow)
-    monkeypatch.setattr(pipeline.Connection, "recv", interrupted)
+    monkeypatch.setattr("multiprocessing.connection.Connection.recv", interrupted)
 
 
 @pytest.mark.parametrize("failure", ["child exits 3", "parent interrupted", "cluster infeasible"])
