@@ -15,6 +15,7 @@ import functools
 import math
 import json
 import os
+import signal
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .clusterer import ClusterConfig, NoSolutionFoundError
-from .geo import GeoPoint, haversine_distance
+from .geo import GeoPoint, fork_join, haversine_distance
 from .geo import worker_cap as _worker_cap
 from .model import (
     Depot,
@@ -216,50 +217,40 @@ def _run_inprocess(instance, strategy, cluster_config, params):
     )
 
 
-def _budget_child(conn, instance, strategy, cluster_config, params, memory_mb):
+def _fenced(instance, strategy, cluster_config, params, memory_mb: int, deadline: float):
+    """_run_inprocess in the fenced child, under an address-space limit of
+    memory_mb and a timer that ends the process at `deadline`, a
+    time.perf_counter() reading (a system-wide clock on Linux).
+
+    SIGALRM goes back to its default action, which ends the process, so that
+    a handler inherited from the harness cannot swallow the timer.  The
+    timer is disarmed before the outcome is sent."""
     import resource
 
-    limit = memory_mb << 20
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+    signal.signal(signal.SIGALRM, signal.SIG_DFL)
+    resource.setrlimit(resource.RLIMIT_AS, (memory_mb << 20, memory_mb << 20))
+    # A timer of 0 would be no timer.
+    signal.setitimer(signal.ITIMER_REAL, max(deadline - time.perf_counter(), 1e-6))
     try:
-        status, runtime_s, dist, busy, doc = _run_inprocess(instance, strategy, cluster_config, params)
-        conn.send((status.value, runtime_s, dist, busy, doc))
-    except MemoryError:
-        conn.send((RunStatus.CRASHED_BUDGET.value, None, None, None, None))
+        return _run_inprocess(instance, strategy, cluster_config, params)
     finally:
-        conn.close()
+        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def _run_budgeted(instance, strategy, cluster_config, params, budget: BudgetConfig):
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork")
-    parent_conn, child_conn = ctx.Pipe(duplex=False)
-    # Daemonic, so the solve forks no children: the limits fence one process,
-    # and terminating it leaves nothing behind.
-    proc = ctx.Process(
-        target=_budget_child,
-        args=(child_conn, instance, strategy, cluster_config, params, budget.memory_mb),
-        daemon=True,
-    )
+    """One run in a child of geo.fork_join that enforces its own limits; this
+    process only waits.  The child is daemonic, so the solve forks no
+    children: the limits fence one process.  A child that the timer or the
+    memory limit ends becomes a CRASHED_BUDGET record.  The wall budget
+    counts from here, so that the fork is part of it."""
     started = time.perf_counter()
-    proc.start()
-    child_conn.close()
-    payload = None
-    if parent_conn.poll(budget.wall_s):
-        try:
-            payload = parent_conn.recv()
-        except EOFError:  # child died mid-send or without sending
-            payload = None
-    else:
-        proc.terminate()
-    proc.join()
-    parent_conn.close()
-    elapsed = time.perf_counter() - started
-    if payload is None:  # timeout, OOM kill, or abnormal exit
-        return RunStatus.CRASHED_BUDGET, elapsed, None, None, None
-    status, runtime_s, dist, busy, doc = payload
-    return RunStatus(status), runtime_s if runtime_s is not None else elapsed, dist, busy, doc
+    deadline = started + budget.wall_s
+    job = functools.partial(_fenced, instance, strategy, cluster_config, params, budget.memory_mb, deadline)
+    try:
+        [outcome] = fork_join(lambda: None, [("the fenced run", None, job)])
+    except RuntimeError:
+        return RunStatus.CRASHED_BUDGET, time.perf_counter() - started, None, None, None
+    return outcome
 
 
 def _archive_path(archive_dir: str, n: int, rep: int, strategy: Strategy) -> str:

@@ -78,27 +78,36 @@ def _waypoint_counts(text: str) -> list[int]:
     return [_positive_int(tok, "waypoint counts must be positive integers") for tok in filter(None, text.split(","))]
 
 
+def _given(**values) -> dict:
+    """The keyword values of the flags the user gave (not None), so that
+    every default lives in its config class alone."""
+    return {name: value for name, value in values.items() if value is not None}
+
+
 def _cluster_config(args) -> Optional[ClusterConfig]:
     names = ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size", "min_no_clusters")
-    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
-    if not given:
-        return None
-    return _config(ClusterConfig, **given)
+    given = _given(**{name: getattr(args, name) for name in names})
+    return _config(ClusterConfig, **given) if given else None
 
 
 def _solver_params(args) -> Optional[SolverParams]:
-    kwargs = {}
-    if args.time_limit_ms is not None:
-        kwargs["time_limit_ms"] = args.time_limit_ms
-    if args.optimization_step is not None:
-        kwargs["optimization_step"] = args.optimization_step
-    if args.solution_limit is not None:
-        kwargs["solution_limit"] = args.solution_limit
-    if getattr(args, "seed", None) is not None:
-        kwargs["rng_seed"] = args.seed
-    if not kwargs:
-        return None
-    return _config(SolverParams, **kwargs)
+    given = _given(
+        time_limit_ms=args.time_limit_ms,
+        optimization_step=args.optimization_step,
+        solution_limit=args.solution_limit,
+        rng_seed=getattr(args, "seed", None),
+    )
+    return _config(SolverParams, **given) if given else None
+
+
+def _generator_flags(args) -> dict:
+    """GeneratorConfig keywords for the --windows, --capacity and
+    --demand-max flags the user gave."""
+    return _given(
+        window_style=None if args.windows is None else WindowStyle(args.windows),
+        vehicle_capacity=args.capacity,
+        demand_range=None if args.demand_max is None else (1, args.demand_max),
+    )
 
 
 def _add_solver_flags(parser) -> None:
@@ -116,15 +125,8 @@ def _add_cluster_flags(parser) -> None:
 
 
 def _cmd_generate(args) -> int:
-    config = _config(
-        GeneratorConfig,
-        n_waypoints=args.n,
-        seed=args.seed or 0,
-        demand_range=(1, args.demand_max) if args.demand_max is not None else (1, 4),
-        window_style=WindowStyle(args.windows),
-        fleet_size=args.fleet_size,
-        vehicle_capacity=args.capacity if args.capacity is not None else 30,
-    )
+    given = _given(seed=args.seed, fleet_size=args.fleet_size, **_generator_flags(args))
+    config = _config(GeneratorConfig, n_waypoints=args.n, **given)
     instance = generate_instance(config)
     save_instance(instance, args.out)
     print(f"wrote {args.out}: {args.n} waypoints, {len(instance.vehicles)} vehicles")
@@ -195,36 +197,29 @@ def _cmd_bench(args) -> int:
         sizes = args.sizes
     if args.reps is not None:
         reps = args.reps
-    if args.strategies:
+    strategies = list(Strategy)
+    if args.strategies is not None:
         try:
             strategies = [_STRATEGY_NAMES[tok] for tok in args.strategies.split(",") if tok]
         except KeyError as exc:
             raise _UsageError(f"unknown strategy {exc.args[0]!r}") from exc
-    else:
-        strategies = list(Strategy)
-    generator = None
-    if args.windows != WindowStyle.WIDE.value or args.capacity is not None or args.demand_max is not None:
-        generator = _config(
-            GeneratorConfig,
-            n_waypoints=1,
-            demand_range=(1, args.demand_max) if args.demand_max is not None else (1, 4),
-            window_style=WindowStyle(args.windows),
-            vehicle_capacity=args.capacity if args.capacity is not None else 30,
-        )
+        if not strategies:
+            raise _UsageError(f"--strategies names no strategy: {args.strategies!r}")
+    generator_flags = _generator_flags(args)
+    generator = _config(GeneratorConfig, n_waypoints=1, **generator_flags) if generator_flags else None
     budget = None
     if not args.no_budget:
-        budget = _config(BudgetConfig, memory_mb=args.budget_mb, wall_s=args.budget_wall_s)
+        budget = _config(BudgetConfig, **_given(memory_mb=args.budget_mb, wall_s=args.budget_wall_s))
     records = run_benchmark(
         sizes,
         reps,
         strategies,
-        base_seed=args.seed if args.seed is not None else 1729,
         generator=generator,
         cluster_config=_cluster_config(args),
         params=_solver_params(args),
         budget=budget,
         archive_dir=args.archive_dir,
-        workers=args.workers,
+        **_given(base_seed=args.seed, workers=args.workers),
     )
     export_csv(records, args.out)
     failures = sum(1 for r in records if r.status is not RunStatus.OK)
@@ -266,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True, help="waypoint count")
     p_gen.add_argument("--seed", type=int, default=None)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--windows", choices=[w.value for w in WindowStyle], default=WindowStyle.WIDE.value)
+    p_gen.add_argument("--windows", choices=[w.value for w in WindowStyle])
     p_gen.add_argument("--capacity", type=int, default=None, help="vehicle capacity")
     p_gen.add_argument("--fleet-size", type=int, default=None)
     p_gen.add_argument("--demand-max", type=int, default=None)
@@ -296,13 +291,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--strategies", default=None, help="comma-separated subset of strategies")
     p_bench.add_argument("--full", action="store_true", help="500..5000 step 500, 15 repetitions")
     p_bench.add_argument("--seed", type=int, default=None, help="base seed for the grid")
-    p_bench.add_argument("--windows", choices=[w.value for w in WindowStyle], default=WindowStyle.WIDE.value)
+    p_bench.add_argument("--windows", choices=[w.value for w in WindowStyle])
     p_bench.add_argument("--capacity", type=int, default=None)
     p_bench.add_argument("--demand-max", type=int, default=None)
     p_bench.add_argument("--archive-dir", default=None, help="write each OK plan JSON here")
-    p_bench.add_argument("--workers", type=int, default=1, help="parallel cells (capped by ROUTE_FORGE_THREADS)")
-    p_bench.add_argument("--budget-mb", type=int, default=4096)
-    p_bench.add_argument("--budget-wall-s", type=float, default=900.0)
+    p_bench.add_argument(
+        "--workers",
+        type=lambda text: _positive_int(text, "workers must be a positive integer"),
+        help="parallel cells (capped by ROUTE_FORGE_THREADS)",
+    )
+    p_bench.add_argument("--budget-mb", type=int)
+    p_bench.add_argument("--budget-wall-s", type=float)
     p_bench.add_argument("--no-budget", action="store_true", help="run in-process without per-run limits")
     _add_solver_flags(p_bench)
     _add_cluster_flags(p_bench)

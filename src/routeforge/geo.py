@@ -10,9 +10,10 @@ and numpy alike.
 pairwise_meters fills a large matrix on every usable CPU: forked children
 fill contiguous row ranges of one shared mapping, each cell through the same
 kernel call, so the array is bit for bit the one-process fill.  fork_join
-starts those children and the pipeline's pre-solve children alike.
-usable_cpus (the CPU affinity, capped by ROUTE_FORGE_THREADS) sizes both,
-and may_fork decides for both whether forking is safe; ROUTE_FORGE_THREADS=1
+starts those children, the pipeline's pre-solve children and the fenced
+child of a budgeted bench run alike.  usable_cpus (the CPU affinity,
+capped by ROUTE_FORGE_THREADS) sizes the fill and the pre-solves, and
+may_fork decides for both whether forking is safe; ROUTE_FORGE_THREADS=1
 keeps both in one process.
 """
 
@@ -25,7 +26,7 @@ import os
 import threading
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -151,13 +152,15 @@ def may_fork() -> bool:
     return not multiprocessing.current_process().daemon and threading.active_count() == 1
 
 
-def fork_join(here: Callable[[], None], jobs: Sequence[tuple[str, int, Callable[[], Any]]]) -> list:
+def fork_join(here: Callable[[], None], jobs: Sequence[tuple[str, Optional[int], Callable[[], Any]]]) -> list:
     """Run each (name, cpu, job) in a forked daemonic child placed on `cpu`,
-    and here() in this process meanwhile.  Return the jobs' values in job
-    order, each sent once over its child's own pipe (None if it sent none).
-    Every child is joined, or terminated when this process fails first; one
-    that exits non-zero raises RuntimeError "{name} exited with code {code}".
-    Callers check may_fork() first; without jobs, no fork context is used."""
+    or left where it starts if `cpu` is None, and here() in this process
+    meanwhile.  Return the jobs' values in job order, each sent once over
+    its child's own pipe (None if it sent none).  Every child is joined, or
+    terminated when this process fails first; one that exits non-zero, or
+    is killed by a signal, raises RuntimeError "{name} exited with code
+    {code}".  The matrix fill and the pre-solves check may_fork() first.
+    Without jobs, no fork context is used."""
     if not jobs:
         here()
         return []
@@ -190,8 +193,9 @@ def fork_join(here: Callable[[], None], jobs: Sequence[tuple[str, int, Callable[
     return values
 
 
-def _run_job(cpu: int, job: Callable[[], Any], out) -> None:
-    place_on(cpu)
+def _run_job(cpu: Optional[int], job: Callable[[], Any], out) -> None:
+    if cpu is not None:
+        place_on(cpu)
     out.send(job())
 
 

@@ -25,7 +25,9 @@ rebuilds it only for the routes that an accepted move changed, so a move
 evaluation is a few cell reads and float operations; route copies are made
 only for moves whose saving passes the step.  Its plans, evaluation and
 acceptance counts and listener deltas are bit for bit those of the plain
-list.index scan kept as the reference in the tests.
+list.index scan kept as the reference in the tests.  A route ends at the
+depot, node 0, whose zeroed matrix column prices the open end like any
+other arc, so no move has a special case for a route's last stop.
 """
 
 from __future__ import annotations
@@ -109,15 +111,18 @@ class DistanceMatrix:
     `array` is one C-contiguous float64 (n+1)^2 array for the vectorized
     passes.  `rows` holds one memoryview per array row, so `rows[i][j]`
     returns a Python float without building a numpy scalar; the local search
-    reads cells that way.  Column 0 is zeroed because routes are open:
-    driving back to the depot is never charged.  Row 0 keeps the real
-    depot-to-waypoint distances.
+    reads cells that way.  Column 0 is zero because routes are open:
+    driving back to the depot is never charged, and the local search prices
+    a route's end by reading it; an array whose column 0 is not all zero
+    raises ValueError.  Row 0 keeps the real depot-to-waypoint distances.
     """
 
     array: np.ndarray = field(repr=False)
     rows: tuple[memoryview, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if (self.array[:, 0] != 0.0).any():
+            raise ValueError("column 0 of a distance matrix, the arcs into the depot, must be zero")
         object.__setattr__(self, "rows", tuple(memoryview(row) for row in self.array))
 
     @property
@@ -418,9 +423,10 @@ def local_search(
     queue = deque([*range(offset + 1, n + 1), *range(1, offset + 1)])
     queued = [True] * (n + 1)
 
-    # An absent next stop (-1) ends an open route, and the arc to it costs
-    # 0.0.  Where the reference adds and subtracts that 0.0, the terms are
-    # left out: every cell is >= +0.0, so x + 0.0 - 0.0 == x bit for bit.
+    # Past a route's last stop comes the depot, 0, whose zeroed column
+    # prices the open end at +0.0.  Every cell is >= +0.0, so x + 0.0 - 0.0
+    # == x and each delta is the reference's bit for bit, which adds 0.0 for
+    # an arc to its end marker, or skips it (2-opt).
     while queue and not out_of_budget:
         u = queue.popleft()
         queued[u] = False
@@ -435,14 +441,9 @@ def local_search(
         row_u = rows[u]
         row_pu = rows[prev_u]
         cost_pu = row_pu[u]
-        if p1 < last1:
-            next_u = stops1[p1 + 1]
-            cost_un = row_u[next_u]
-            removal = cost_pu + cost_un - row_pu[next_u]
-        else:
-            next_u = -1
-            cost_un = 0.0
-            removal = cost_pu
+        next_u = stops1[p1 + 1] if p1 < last1 else 0
+        cost_un = row_u[next_u]
+        removal = cost_pu + cost_un - row_pu[next_u]
         demand_u = demand[u]
         touched = None
         for v in neighbors[u]:
@@ -460,12 +461,8 @@ def local_search(
                 tail = stops1[j]
                 prev_i = stops1[i - 1] if i else 0
                 row = rows[prev_i]
-                delta = row[tail] - row[head]
-                if j < last1:
-                    next_j = stops1[j + 1]
-                    delta += rows[head][next_j] - rows[tail][next_j]
-                else:
-                    next_j = -1
+                next_j = stops1[j + 1] if j < last1 else 0
+                delta = row[tail] - row[head] + (rows[head][next_j] - rows[tail][next_j])
                 if delta <= max_delta:
                     candidate = stops1[:i] + stops1[i : j + 1][::-1] + stops1[j + 1 :]
                     if schedule_ok(candidate):
@@ -474,11 +471,8 @@ def local_search(
                         break
                 # Relocate u right after v, before v's successor once u is out.
                 evals += 1
-                b = next_u if p2 + 1 == p1 else stops1[p2 + 1] if p2 < last1 else -1
-                if b >= 0:
-                    delta = row_v[u] + row_u[b] - row_v[b] - removal
-                else:
-                    delta = row_v[u] - removal
+                b = next_u if p2 + 1 == p1 else stops1[p2 + 1] if p2 < last1 else 0
+                delta = row_v[u] + row_u[b] - row_v[b] - removal
                 if delta <= max_delta:
                     trimmed = stops1[:p1] + stops1[p1 + 1 :]
                     at = p2 + 1 if p2 < p1 else p2
@@ -505,15 +499,12 @@ def local_search(
             stops2 = r2.stops
             last2 = len(stops2) - 1
             prev_v = stops2[p2 - 1] if p2 else 0
-            next_v = stops2[p2 + 1] if p2 < last2 else -1
+            next_v = stops2[p2 + 1] if p2 < last2 else 0
             row_pv = rows[prev_v]
             if r2.load + demand_u <= r2.capacity:
                 # Relocate u into v's route, right after v, then right before.
                 evals += 1
-                if next_v >= 0:
-                    delta = row_v[u] + row_u[next_v] - row_v[next_v] - removal
-                else:
-                    delta = row_v[u] - removal
+                delta = row_v[u] + row_u[next_v] - row_v[next_v] - removal
                 if delta <= max_delta:
                     candidate = stops2[: p2 + 1] + [u] + stops2[p2 + 1 :]
                     if schedule_ok(candidate):
@@ -542,9 +533,8 @@ def local_search(
                 and r2.load - demand_v + demand_u <= r2.capacity
             ):
                 delta = (
-                    row_pu[v] + (row_v[next_u] if next_u >= 0 else 0.0) - cost_pu - cost_un
-                    + row_pv[u] + (row_u[next_v] if next_v >= 0 else 0.0)
-                    - row_pv[v] - (row_v[next_v] if next_v >= 0 else 0.0)
+                    row_pu[v] + row_v[next_u] - cost_pu - cost_un
+                    + row_pv[u] + row_u[next_v] - row_pv[v] - row_v[next_v]
                 )
                 if delta <= max_delta:
                     cand1 = stops1[:p1] + [v] + stops1[p1 + 1 :]

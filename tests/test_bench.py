@@ -271,6 +271,37 @@ def test_wall_budget_breach_leaves_no_process_behind(monkeypatch, tmp_path):
     assert elapsed < 30
 
 
+def test_wall_budget_holds_under_an_inherited_alarm_handler(monkeypatch, tmp_path):
+    # The fenced child inherits this process's SIGALRM handler, which does
+    # nothing; its wall timer must still end the stalled run.
+    pid_file = tmp_path / "pids"
+
+    def stalled(sub, params):
+        with open(pid_file, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        time.sleep(60)
+
+    monkeypatch.setattr(pipeline, "solve_cvrptw", stalled)
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    try:
+        started = time.monotonic()
+        records = run_benchmark(
+            sizes=[60],
+            repetitions=1,
+            strategies=[Strategy.MONOLITHIC],
+            budget=BudgetConfig(memory_mb=4_096, wall_s=1.0),
+        )
+        elapsed = time.monotonic() - started
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    [pid] = [int(line) for line in pid_file.read_text().split()]
+    with pytest.raises(ProcessLookupError):
+        os.kill(pid, signal.SIGKILL)
+    assert [r.status for r in records] == [RunStatus.CRASHED_BUDGET]
+    assert records[0].distance_m is None
+    assert 1.0 <= elapsed < 5.0
+
+
 def test_memory_budget_breach_is_a_crash_record():
     # the 4,001-node distance matrix alone is one 128 MB array, four times
     # the cap and more than the heap that earlier in-process solves leave

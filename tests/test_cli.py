@@ -258,6 +258,9 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         (["bench", "--sizes", "30", "--reps", "1", "--budget-mb", "0"], "memory_mb"),
         (["bench", "--sizes", "30", "--reps", "1", "--budget-wall-s", "0"], "wall_s"),
         (["bench", "--sizes", "30", "--reps", "1", "--budget-wall-s", "inf"], "wall_s"),
+        (["bench", "--sizes", "30", "--reps", "1", "--workers", "0"], "workers must be a positive integer, got '0'"),
+        (["bench", "--sizes", "30", "--reps", "1", "--workers", "-3"], "workers must be a positive integer, got '-3'"),
+        (["bench", "--sizes", "30", "--reps", "1", "--strategies", ",,"], "names no strategy"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):

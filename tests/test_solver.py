@@ -163,6 +163,18 @@ def test_matrix_return_leg_is_free():
     assert matrix.d(0, 0) == 0.0
 
 
+@pytest.mark.parametrize("cell", [5.0, -0.5, math.nan])
+def test_matrix_with_a_depot_column_not_zero_is_rejected(cell):
+    # The local search prices a route's end by reading column 0.
+    array = np.zeros((3, 3))
+    array[0, 1] = array[1, 2] = 7.0
+    array[2, 0] = cell
+    with pytest.raises(ValueError, match="column 0"):
+        DistanceMatrix(array)
+    array[2, 0] = 0.0
+    assert DistanceMatrix(array).d(0, 1) == 7.0
+
+
 def test_matrix_waypoint_block_is_symmetric():
     rng = np.random.default_rng(2)
     instance = scatter_instance(rng, 10, 3, 30)

@@ -19,7 +19,12 @@ One more case, n1200_s4_fleet30-24-36, solves the wide-window instance of
 N = 1200 and seed 4 with vehicle capacities that cycle 30, 24, 36 by vehicle
 id.  Its later clusters find another capacity order among the free vehicles,
 so the solve throws some pre-solved plans away and solves those clusters
-again in order.
+again in order.  Last, it writes
+
+    OUT_DIR/bench.csv                  routeforge bench --sizes 300 --reps 1
+
+the CSV of a small grid of every strategy, each run fenced in its budgeted
+child, without the runtime columns.
 
 Nothing that varies run to run (the solve line with its wall time) is
 written.  It solves with the ``routeforge`` package found on the import
@@ -45,10 +50,12 @@ difference).
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import os
 import sys
+import tempfile
 from dataclasses import replace
 
 SEEDS = (0, 1, 2)
@@ -84,6 +91,18 @@ def _case(cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int,
         plan = os.path.join(out, f"plan_{strategy}.json")
         _run(cli, ["solve", instance, "--strategy", strategy, "--out", plan])
     print(f"{os.path.basename(out)} done", file=sys.stderr)
+
+
+def _bench(cli, out: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        raw = os.path.join(tmp, "bench.csv")
+        _run(cli, ["bench", "--sizes", "300", "--reps", "1", "--out", raw])
+        with open(raw, encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    keep = [k for k, name in enumerate(rows[0]) if not name.startswith("runtime_")]
+    with open(os.path.join(out, "bench.csv"), "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([row[k] for k in keep] for row in rows)
+    print("bench done", file=sys.stderr)
 
 
 def _files(root: str) -> set[str]:
@@ -153,6 +172,7 @@ def main(argv: list[str]) -> int:
     n, seed, capacities = MIXED_FLEET
     fleet = "-".join(map(str, capacities))
     _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_fleet{fleet}"), n, seed, "wide", capacities)
+    _bench(cli, argv[0])
     return 0
 
 
