@@ -87,15 +87,22 @@ def _given(**values) -> dict:
 def _cluster_config(args) -> Optional[ClusterConfig]:
     names = ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size", "min_no_clusters")
     given = _given(**{name: getattr(args, name) for name in names})
-    return _config(ClusterConfig, **given) if given else None
+    if not given:
+        return None
+    config = _config(ClusterConfig, **given)
+    if config.min_radius > config.max_radius:
+        raise _UsageError(f"bad option value: min_radius {config.min_radius} exceeds max_radius {config.max_radius}")
+    return config
 
 
-def _solver_params(args) -> Optional[SolverParams]:
+def _solver_params(args, rng_seed: Optional[int] = None) -> Optional[SolverParams]:
+    """SolverParams from the solver flags; only `solve --seed` sets rng_seed,
+    since `bench --seed` seeds the instance grid."""
     given = _given(
         time_limit_ms=args.time_limit_ms,
         optimization_step=args.optimization_step,
         solution_limit=args.solution_limit,
-        rng_seed=getattr(args, "seed", None),
+        rng_seed=rng_seed,
     )
     return _config(SolverParams, **given) if given else None
 
@@ -141,7 +148,7 @@ def _cmd_solve(args) -> int:
             instance,
             strategy,
             cluster_config=_cluster_config(args),
-            params=_solver_params(args),
+            params=_solver_params(args, args.seed),
         )
     except NoSolutionFoundError as exc:
         print(f"no solution: {exc}", file=sys.stderr)

@@ -5,9 +5,10 @@ connected components at a radius: growing the radius only ever merges
 clusters, so the cluster count shrinks and the average cluster size grows.
 Feasibility under either criterion is therefore a prefix of the radius axis
 and a plain integer binary search finds the largest workable radius.  Every
-probe is a lookup on one spanning tree built per search, only the winning
-radius is cut into clusters, and the recursion hands each oversized cluster
-the part of that tree inside it.
+probe is a lookup on one spanning tree built per search, and only the
+winning radius is cut.  Radii stay whole meters up to that cut, whose member
+lists become the clusters.  Each recursion level probes the part of the tree
+inside one oversized cluster and cuts it once the same way.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Optional, Sequence
 
-from .dbscan import DbscanParams, SpanningTree, dbscan, spanning_tree
+from .dbscan import SpanningTree, dbscan, spanning_tree
 
 # pairwise_meters is not called here; it stays bound because
 # perfbench/tracer.py wraps this module's calls into the dbscan layer.
@@ -117,30 +118,18 @@ def _resolved_min_clusters(config: ClusterConfig, n: int) -> int:
     return max(1, math.ceil(n / config.max_cluster_size))
 
 
-def binary_search_clusters(
-    points: Sequence[GeoPoint],
-    config: ClusterConfig,
-    feasibility: Feasibility = Feasibility.MAX_SIZE_CAP,
-    *,
-    tree: Optional[SpanningTree] = None,
-    depth: int = 0,
-) -> tuple[ClusterSet, int]:
-    """Find the integer radius with the best feasible clustering.
+def _best_radius(tree: SpanningTree, config: ClusterConfig, feasibility: Feasibility) -> int:
+    """The integer radius with the best feasible clustering of the tree's
+    points.
 
     Probes the midpoint radius, grows the range on feasible probes and
     shrinks it otherwise, keeping the feasible probe with the largest average
     cluster size.  Every probe reads the cluster count, or the largest
-    cluster, of one spanning tree's cut without making the cut; the tree is
-    built here unless the caller passes one over these points.  Only the
-    winning radius is cut into clusters.  Raises NoSolutionFoundError when
-    no probe is feasible.
+    cluster, of the tree's cut without making the cut.  Raises
+    NoSolutionFoundError when no probe is feasible.
     """
-    n = len(points)
+    n = tree.n
     min_no = _resolved_min_clusters(config, n)
-    if tree is None:
-        tree = spanning_tree(points)
-    elif tree.n != n:
-        raise ValueError(f"spanning tree covers {tree.n} points, got {n}")
     peaks = tree.peak_sizes() if feasibility is Feasibility.MAX_SIZE_CAP else None
 
     lo, hi = config.min_radius, config.max_radius
@@ -166,10 +155,31 @@ def binary_search_clusters(
             f"no radius in [{config.min_radius}, {config.max_radius}] m satisfies "
             f"{feasibility.value} over {n} points"
         )
-    _, radius = best
-    labels = dbscan(points, DbscanParams(float(radius)), tree=tree)
+    return best[1]
+
+
+def binary_search_clusters(
+    points: Sequence[GeoPoint],
+    config: ClusterConfig,
+    feasibility: Feasibility = Feasibility.MAX_SIZE_CAP,
+    *,
+    tree: Optional[SpanningTree] = None,
+) -> tuple[ClusterSet, int]:
+    """The depth-0 clusters at the integer radius with the best feasible
+    clustering, and that radius.
+
+    The tree is built here unless the caller passes one over these points;
+    the radius search probes it, and only the winning radius is cut into
+    clusters.  Raises NoSolutionFoundError when no probe is feasible.
+    """
+    if tree is None:
+        tree = spanning_tree(points)
+    elif tree.n != len(points):
+        raise ValueError(f"spanning tree covers {tree.n} points, got {len(points)}")
+    radius = _best_radius(tree, config, feasibility)
     clusters = tuple(
-        _make_cluster(points, members, radius, depth) for members in labels.clusters()
+        _make_cluster(points, members, radius, 0)
+        for members in dbscan(points, float(radius), tree=tree)
     )
     return ClusterSet(clusters), radius
 
@@ -186,27 +196,22 @@ def _recurse(
         raise RecursionLimitError(
             f"decomposition exceeded depth {RECURSION_LIMIT}; input looks degenerate"
         )
-    subset = [points[i] for i in indices]
-    cluster_set, best_radius = binary_search_clusters(
-        subset,
-        config,
-        Feasibility.MIN_CLUSTER_COUNT,
-        tree=tree,
-        depth=depth,
-    )
-    for cluster in cluster_set.clusters:
-        original = [indices[i] for i in cluster.members]
-        if cluster.size <= config.max_cluster_size:
-            out.append(_make_cluster(points, original, best_radius, depth))
+    radius = _best_radius(tree, config, Feasibility.MIN_CLUSTER_COUNT)
+    # The cut goes through dbscan() rather than tree.cut() because
+    # perfbench/tracer.py counts the dbscan() calls as probes.
+    for members in dbscan([points[i] for i in indices], float(radius), tree=tree):
+        original = [indices[i] for i in members]
+        if len(members) <= config.max_cluster_size:
+            out.append(_make_cluster(points, original, radius, depth))
             continue
         # An oversized cluster is re-clustered on a strictly smaller radius
         # range so the recursion always makes progress.
         child_config = replace(
             config,
-            max_radius=best_radius - 1,
-            min_no_clusters=math.ceil(cluster.size / config.max_cluster_size),
+            max_radius=radius - 1,
+            min_no_clusters=math.ceil(len(members) / config.max_cluster_size),
         )
-        _recurse(points, original, child_config, tree.subtree(cluster.members), depth + 1, out)
+        _recurse(points, original, child_config, tree.subtree(members), depth + 1, out)
 
 
 def _merge_small_clusters(

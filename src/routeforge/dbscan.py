@@ -6,7 +6,9 @@ which is DBSCAN with every point a core point and the property the radius
 search above this module relies on.  Those components are the cuts at the
 radius of one minimum spanning tree (Gower and Ross, 1969), so a single
 SpanningTree answers every radius over the same points, and the part of it
-inside one cluster answers every radius over that cluster.  Every minimum
+inside one cluster answers every radius over that cluster.  A cut is its
+member lists, each ascending, ordered by their lowest member, and dbscan()
+is that cut with its radius checked.  Every minimum
 spanning tree of the same weights has the same cuts, which is what lets
 spanning_tree pick any one of them: it runs Boruvka rounds on a kd-tree
 over 3D unit vectors, with no n-by-n array, and decides every edge by the
@@ -52,35 +54,6 @@ class EmptyInputError(ValueError):
     """Raised when clustering is asked to label zero points."""
 
 
-@dataclass(frozen=True)
-class DbscanParams:
-    """Neighborhood radius in meters, finite and at least 0."""
-
-    radius_m: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.radius_m < math.inf:
-            raise ValueError(f"radius_m must be finite and non-negative, got {self.radius_m}")
-
-
-@dataclass(frozen=True)
-class ClusterLabels:
-    """Per-point cluster labels, contiguous from 0 in discovery order."""
-
-    labels: tuple[int, ...]
-
-    @property
-    def n_clusters(self) -> int:
-        return max(self.labels, default=-1) + 1
-
-    def clusters(self) -> list[list[int]]:
-        """Member indices per cluster, ascending."""
-        out: list[list[int]] = [[] for _ in range(self.n_clusters)]
-        for idx, label in enumerate(self.labels):
-            out[label].append(idx)
-        return out
-
-
 def _find(root: list[int], x: int) -> int:
     """Union-find root of x, halving the path on the way."""
     while root[x] != x:
@@ -121,19 +94,19 @@ class SpanningTree:
             peaks.append(max(peaks[-1], size[ra]))
         return peaks
 
-    def cut(self, eps_m: float) -> ClusterLabels:
-        """Components joined by the edges of weight at most eps_m, labeled so
-        that the component holding the lowest untouched index gets the next
-        label."""
+    def cut(self, eps_m: float) -> list[list[int]]:
+        """Components joined by the edges of weight at most eps_m, as member
+        lists, each ascending, ordered by their lowest member."""
         k = self.edges_within(eps_m)
         root = list(range(self.n))
         for a, b in zip(self.heads[:k].tolist(), self.tails[:k].tolist()):
             ra, rb = _find(root, a), _find(root, b)
             if ra != rb:
                 root[max(ra, rb)] = min(ra, rb)
-        label_of: dict[int, int] = {}
-        labels = (label_of.setdefault(_find(root, i), len(label_of)) for i in range(self.n))
-        return ClusterLabels(tuple(labels))
+        clusters: dict[int, list[int]] = {}
+        for i in range(self.n):
+            clusters.setdefault(_find(root, i), []).append(i)
+        return list(clusters.values())
 
     def subtree(self, members: Sequence[int]) -> SpanningTree:
         """The edges inside one cluster of some cut, re-indexed so that
@@ -368,16 +341,18 @@ def _margin(bound2: np.ndarray) -> np.ndarray:
 
 def dbscan(
     points: Sequence[GeoPoint],
-    params: DbscanParams,
+    radius_m: float,
     *,
     tree: Optional[SpanningTree] = None,
-) -> ClusterLabels:
-    """Label every point with its density cluster at params.radius_m meters.
+) -> list[list[int]]:
+    """The density clusters of points at radius_m meters, finite and at
+    least 0: the cut of their spanning tree, as SpanningTree.cut gives it.
 
-    Labels count up from 0 in order of each cluster's lowest index.  They
-    are a cut of the spanning tree; pass one from spanning_tree(points) to
-    amortize repeated runs over the same points at different radii.
+    Pass a tree from spanning_tree(points) to amortize repeated runs over
+    the same points at different radii.
     """
+    if not 0.0 <= radius_m < math.inf:
+        raise ValueError(f"radius_m must be finite and non-negative, got {radius_m}")
     n = len(points)
     if n == 0:
         raise EmptyInputError("cannot cluster an empty point set")
@@ -385,4 +360,4 @@ def dbscan(
         tree = spanning_tree(points)
     elif tree.n != n:
         raise ValueError(f"spanning tree covers {tree.n} points, got {n}")
-    return tree.cut(params.radius_m)
+    return tree.cut(radius_m)

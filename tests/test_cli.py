@@ -209,6 +209,17 @@ def test_bench_strategy_subset(tmp_path):
     assert row["runtime_dbscan"] is None
 
 
+def test_bench_seed_equal_to_the_default_changes_no_plan(tmp_path):
+    # --seed picks the instances; the solver keeps its own default seed
+    rows = []
+    for name, extra in (("default.csv", []), ("seeded.csv", ["--seed", "1729"])):
+        csv_path = str(tmp_path / name)
+        argv = ["bench", "--out", csv_path, "--sizes", "200", "--reps", "1", "--no-budget", *extra]
+        assert main(argv) == 0
+        rows.append([{k: v for k, v in row.items() if not k.startswith("runtime")} for row in parse_csv(csv_path)])
+    assert rows[0] == rows[1]
+
+
 # --- failure modes ---
 
 
@@ -261,6 +272,9 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         (["bench", "--sizes", "30", "--reps", "1", "--workers", "0"], "workers must be a positive integer, got '0'"),
         (["bench", "--sizes", "30", "--reps", "1", "--workers", "-3"], "workers must be a positive integer, got '-3'"),
         (["bench", "--sizes", "30", "--reps", "1", "--strategies", ",,"], "names no strategy"),
+        (["solve", "{inst}", "--min-radius", "50", "--max-radius", "10"], "min_radius 50 exceeds max_radius 10"),
+        (["cluster", "{inst}", "--max-radius", "-5"], "min_radius 1 exceeds max_radius -5"),
+        (["bench", "--sizes", "30", "--reps", "1", "--min-radius", "20000"], "min_radius 20000 exceeds max_radius 10000"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from routeforge.bench import GeneratorConfig, generate_instance
 from routeforge.clusterer import (
     Cluster,
     ClusterConfig,
@@ -14,6 +15,7 @@ from routeforge.clusterer import (
     cluster_order,
     recursive_dbscan,
 )
+from routeforge.dbscan import spanning_tree
 from routeforge.geo import METERS_PER_RADIAN, GeoPoint
 
 EQUATOR_DEGREE_M = 111_195.0802335329
@@ -280,6 +282,22 @@ def test_deep_shedding_chain_hits_recursion_limit():
     config = ClusterConfig(max_cluster_size=400)
     with pytest.raises(RecursionLimitError):
         recursive_dbscan(points, config)
+
+
+def test_deeper_clusters_are_cut_below_the_depth_0_radius():
+    # this instance recurses to depth 2
+    instance = generate_instance(GeneratorConfig(n_waypoints=3_000, seed=2))
+    points = [w.location for w in instance.waypoints]
+    clusters = recursive_dbscan(points, ClusterConfig()).clusters
+    top = {c.radius for c in clusters if c.depth == 0}
+    assert len(top) == 1
+    (r0,) = top
+    deeper = [c for c in clusters if c.depth > 0]
+    assert deeper
+    assert all(c.radius < r0 for c in deeper)
+    for c in clusters:
+        tree = spanning_tree([points[i] for i in c.members])
+        assert tree.weights.max(initial=0.0) <= c.radius, (c.depth, c.radius)
 
 
 def test_recursive_runs_are_identical():

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from routeforge.bench import GeneratorConfig, generate_instance
 from routeforge.clusterer import ClusterConfig, Feasibility, binary_search_clusters, recursive_dbscan
-from routeforge.dbscan import (
-    ClusterLabels,
-    DbscanParams,
-    EmptyInputError,
-    SpanningTree,
-    dbscan,
-    spanning_tree,
-)
+from routeforge.dbscan import EmptyInputError, SpanningTree, dbscan, spanning_tree
 from routeforge.geo import METERS_PER_RADIAN, GeoPoint, HaversineKernel, haversine_distance, pairwise_meters
 
 EQUATOR_DEGREE_M = 111_195.0802335329
@@ -69,16 +62,16 @@ def components_oracle(points, eps_meters):
     return {frozenset(members) for members in groups.values()}
 
 
-def as_partition(labels: ClusterLabels):
-    return {frozenset(members) for members in labels.clusters()}
+def as_partition(clusters):
+    return {frozenset(members) for members in clusters}
 
 
 # --- references: the dense flood and Prim's tree ---
 
 
-def components_dense(adjacency: np.ndarray) -> ClusterLabels:
-    """Connected components of a dense adjacency matrix, labeled so that the
-    component holding the lowest untouched index gets the next label.
+def components_dense(adjacency: np.ndarray) -> list[list[int]]:
+    """Connected components of a dense adjacency matrix, as ascending member
+    lists ordered by their lowest member.
 
     Each component is flooded a whole frontier per step.
     """
@@ -100,13 +93,13 @@ def components_dense(adjacency: np.ndarray) -> ClusterLabels:
             frontier_size = size
         labels[member] = cluster
         cluster += 1
-    return ClusterLabels(tuple(int(x) for x in labels))
+    return [np.flatnonzero(labels == c).tolist() for c in range(cluster)]
 
 
-def dense_dbscan(pairwise: np.ndarray, params: DbscanParams) -> ClusterLabels:
-    """dbscan's labels from a pairwise_meters matrix: its connected
+def dense_dbscan(pairwise: np.ndarray, radius_m: float) -> list[list[int]]:
+    """dbscan's clusters from a pairwise_meters matrix: its connected
     components at the radius, in O(n^2) memory."""
-    return components_dense(pairwise <= params.radius_m)
+    return components_dense(pairwise <= radius_m)
 
 
 def prim_spanning_tree(points) -> SpanningTree:
@@ -188,13 +181,14 @@ def assert_same_clusterings(points, tree: SpanningTree, reference: SpanningTree)
 
 
 def test_params_validation():
-    assert DbscanParams(radius_m=0.0).radius_m == 0.0
+    points = [east(0), east(50)]
+    assert dbscan(points, 0.0) == [[0], [1]]
     for bad in (-1e-9, math.inf, math.nan):
-        with pytest.raises(ValueError):
-            DbscanParams(radius_m=bad)
+        with pytest.raises(ValueError, match="radius_m must be finite and non-negative"):
+            dbscan(points, bad)
     # the radius was once an angle in radians: a call still passing one fails
     with pytest.raises(TypeError):
-        DbscanParams(epsilon=1e-4)
+        dbscan(points, epsilon=1e-4)
 
 
 # --- dbscan ---
@@ -202,35 +196,28 @@ def test_params_validation():
 
 def test_empty_input_rejected():
     with pytest.raises(EmptyInputError):
-        dbscan([], DbscanParams(radius_m=100.0))
+        dbscan([], 100.0)
 
 
 def test_chain_within_epsilon_is_one_cluster():
     points = [east(0), east(50), east(100)]
-    labels = dbscan(points, DbscanParams(radius_m=60))
-    assert labels.n_clusters == 1
-    assert set(labels.labels) == {0}
+    assert dbscan(points, 60) == [[0, 1, 2]]
 
 
 def test_far_points_are_singletons():
     points = [east(0), east(500)]
-    labels = dbscan(points, DbscanParams(radius_m=100))
-    assert labels.n_clusters == 2
-    assert labels.labels == (0, 1)
+    assert dbscan(points, 100) == [[0], [1]]
 
 
 def test_labels_are_contiguous_and_lowest_index_first():
     rng = np.random.default_rng(3)
     points = random_points(rng, 60, box_meters=800.0)
-    labels = dbscan(points, DbscanParams(radius_m=120))
-    assert labels.labels[0] == 0
-    seen = set()
-    order = []
-    for label in labels.labels:
-        if label not in seen:
-            seen.add(label)
-            order.append(label)
-    assert order == list(range(labels.n_clusters))  # first occurrences count up
+    clusters = dbscan(points, 120)
+    assert sorted(i for members in clusters for i in members) == list(range(60))
+    assert all(members == sorted(members) for members in clusters)
+    firsts = [members[0] for members in clusters]
+    assert firsts[0] == 0
+    assert firsts == sorted(firsts)  # lowest members count up
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -239,18 +226,16 @@ def test_partition_matches_union_find_oracle(seed):
     n = int(rng.integers(20, 120))
     radius = float(rng.uniform(60, 500))
     points = random_points(rng, n, box_meters=1_500.0)
-    labels = dbscan(points, DbscanParams(radius_m=radius))
-    assert as_partition(labels) == components_oracle(points, radius)
+    assert as_partition(dbscan(points, radius)) == components_oracle(points, radius)
 
 
 def test_partition_is_permutation_stable():
     rng = np.random.default_rng(11)
     points = random_points(rng, 80)
-    params = DbscanParams(radius_m=250)
-    base = as_partition(dbscan(points, params))
+    base = as_partition(dbscan(points, 250))
     perm = rng.permutation(len(points))
     shuffled = [points[i] for i in perm]
-    shuffled_part = as_partition(dbscan(shuffled, params))
+    shuffled_part = as_partition(dbscan(shuffled, 250))
     remapped = {frozenset(int(perm[i]) for i in members) for members in shuffled_part}
     assert remapped == base
 
@@ -259,8 +244,8 @@ def test_smaller_epsilon_refines_partition():
     rng = np.random.default_rng(21)
     points = random_points(rng, 90)
     for r1, r2 in [(100, 300), (200, 800), (400, 401)]:
-        fine = as_partition(dbscan(points, DbscanParams(radius_m=r1)))
-        coarse = as_partition(dbscan(points, DbscanParams(radius_m=r2)))
+        fine = as_partition(dbscan(points, r1))
+        coarse = as_partition(dbscan(points, r2))
         for cluster in fine:
             assert any(cluster <= parent for parent in coarse)
 
@@ -268,22 +253,19 @@ def test_smaller_epsilon_refines_partition():
 def test_tree_cut_agrees_with_dense_path_above_2000():
     rng = np.random.default_rng(31)
     points = random_points(rng, 2_300, box_meters=20_000.0)
-    params = DbscanParams(radius_m=700)
-    assert dbscan(points, params).labels == dense_dbscan(pairwise_meters(points), params).labels
+    assert dbscan(points, 700) == dense_dbscan(pairwise_meters(points), 700)
 
 
 def test_identical_points_single_cluster():
     points = [east(0)] * 25
-    labels = dbscan(points, DbscanParams(radius_m=1))
-    assert labels.n_clusters == 1
+    assert dbscan(points, 1) == [list(range(25))]
 
 
 def test_radius_zero_joins_only_coincident_points():
     points = [east(0), east(0), east(0.001), east(50), east(50)]
-    params = DbscanParams(radius_m=0.0)
-    labels = dbscan(points, params)
-    assert labels.labels == (0, 0, 1, 2, 2)
-    assert labels == dense_dbscan(pairwise_meters(points), params)
+    clusters = dbscan(points, 0.0)
+    assert clusters == [[0, 1], [2], [3, 4]]
+    assert clusters == dense_dbscan(pairwise_meters(points), 0.0)
 
 
 # --- spanning tree cuts against the dense reference ---
@@ -292,7 +274,7 @@ def test_radius_zero_joins_only_coincident_points():
 def test_tree_over_other_points_rejected():
     points = [east(0), east(50), east(100)]
     with pytest.raises(ValueError):
-        dbscan(points, DbscanParams(radius_m=60), tree=spanning_tree(points[:2]))
+        dbscan(points, 60, tree=spanning_tree(points[:2]))
     # a search whose probes are all infeasible still rejects the tree
     config = ClusterConfig(min_no_clusters=10)
     with pytest.raises(ValueError):
@@ -320,7 +302,7 @@ def test_bad_coordinate_is_a_value_error_naming_the_point(bad):
 
 def test_subtree_across_clusters_rejected():
     tree = spanning_tree([east(0), east(10), east(5_000), east(5_010)])
-    first, second = tree.cut(100.0).clusters()
+    first, second = tree.cut(100.0)
     with pytest.raises(ValueError):
         tree.subtree([first[0], second[0]])
 
@@ -338,10 +320,9 @@ def test_antimeridian_cluster_is_not_split():
     points = [GeoPoint(float(a), float(b)) for a, b in zip(lat, lon)]
     assert min(lon) < -179.99 and max(lon) > 179.99
 
-    params = DbscanParams(radius_m=150)
-    labels = dbscan(points, params)
-    assert labels.labels == dense_dbscan(pairwise_meters(points), params).labels
-    assert labels.n_clusters == 1
+    clusters = dbscan(points, 150)
+    assert clusters == dense_dbscan(pairwise_meters(points), 150)
+    assert len(clusters) == 1
 
     config = ClusterConfig(max_cluster_size=2_100)
     cluster_set, _ = binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
@@ -381,8 +362,7 @@ def test_tree_cut_equals_dense_labels(data, drawn):
     # a free radius, and one that sits on a pairwise distance
     i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
     for radius in (data.draw(st.floats(0.0, 2.0 * box)), float(dense[i, j])):
-        params = DbscanParams(radius_m=radius)
-        assert dbscan(points, params).labels == dense_dbscan(dense, params).labels
+        assert dbscan(points, radius) == dense_dbscan(dense, radius)
 
 
 @settings(max_examples=100, deadline=None)
@@ -392,7 +372,7 @@ def test_subtree_cut_equals_tree_of_the_cluster(data, drawn):
     coarse = data.draw(st.floats(0.01, 2.0 * box))
     fine = data.draw(st.floats(0.01, coarse))
     tree = spanning_tree(points)
-    for members in tree.cut(coarse).clusters():
+    for members in tree.cut(coarse):
         own = spanning_tree([points[i] for i in members])
         assert tree.subtree(members).cut(fine) == own.cut(fine)
 
@@ -411,9 +391,9 @@ def test_probe_lookups_equal_tree_cut_at_edge_weights(drawn):
         radii.update((np.nextafter(w, 0.0), w, np.nextafter(w, np.inf)))
     for radius in sorted(radii):
         joined = tree.edges_within(radius)
-        labels = tree.cut(radius)
-        assert tree.n - joined == labels.n_clusters
-        assert peaks[joined] == max(len(c) for c in labels.clusters())
+        clusters = tree.cut(radius)
+        assert tree.n - joined == len(clusters)
+        assert peaks[joined] == max(len(c) for c in clusters)
 
 
 @settings(max_examples=150, deadline=None)
