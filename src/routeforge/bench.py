@@ -3,9 +3,11 @@
 Instances are drawn from a mixture of Gaussian density blobs inside a
 Hong-Kong-sized bounding box, so the clustering strategies have real
 spatial structure to find.  The harness runs each (size, repetition)
-cell on one shared instance per strategy, converts failures into
-records instead of exceptions, and exports the wide comparison CSV
-plus GeoJSON for route inspection.
+cell on one shared instance per strategy and exports the wide comparison
+CSV plus GeoJSON for route inspection.  _run holds the one failure rule,
+fenced or not: a run that finds no plan becomes a no_solution record, a
+MemoryError or a breached budget fence a crashed_budget record, and any
+other exception propagates.  Sizes must not repeat.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+import traceback
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -87,6 +90,8 @@ class GeneratorConfig:
             raise ValueError("fleet_size must be >= 1")
         if self.vehicle_capacity < 1:
             raise ValueError("vehicle_capacity must be >= 1")
+        if hi > self.vehicle_capacity:
+            raise ValueError(f"demand_range {self.demand_range} exceeds vehicle_capacity {self.vehicle_capacity}")
 
 
 def _scatter_centers(rng: np.random.Generator, k: int, region: Region) -> np.ndarray:
@@ -200,27 +205,25 @@ def _cell_seed(base_seed: int, n: int, rep: int) -> int:
     return base_seed + n * 10_000 + rep
 
 
-def _run_inprocess(instance, strategy, cluster_config, params):
+def _run(instance, strategy, cluster_config, params):
+    """One run in this process: (status, runtime_s, PipelineResult or None).
+    NoSolutionFoundError is NO_SOLUTION, timed by run_strategy as an OK run
+    is; MemoryError is CRASHED_BUDGET; any other exception propagates."""
     started = time.perf_counter()
     try:
         result = run_strategy(instance, strategy, cluster_config=cluster_config, params=params)
-    except NoSolutionFoundError:
-        return RunStatus.NO_SOLUTION, time.perf_counter() - started, None, None, None
+    except NoSolutionFoundError as exc:
+        return RunStatus.NO_SOLUTION, exc.wall_time_ms / 1000.0, None
     except MemoryError:
-        return RunStatus.CRASHED_BUDGET, time.perf_counter() - started, None, None, None
-    return (
-        RunStatus.OK,
-        result.wall_time_ms / 1000.0,
-        result.total_distance,
-        result.busy_vehicle_count,
-        plan_to_dict(result.plan),
-    )
+        return RunStatus.CRASHED_BUDGET, time.perf_counter() - started, None
+    return RunStatus.OK, result.wall_time_ms / 1000.0, result
 
 
 def _fenced(instance, strategy, cluster_config, params, memory_mb: int, deadline: float):
-    """_run_inprocess in the fenced child, under an address-space limit of
-    memory_mb and a timer that ends the process at `deadline`, a
-    time.perf_counter() reading (a system-wide clock on Linux).
+    """_run in the fenced child, under an address-space limit of memory_mb
+    and a timer that ends the process at `deadline`, a time.perf_counter()
+    reading (a system-wide clock on Linux).  An exception that _run raises
+    is returned, so that the parent can raise it.
 
     SIGALRM goes back to its default action, which ends the process, so that
     a handler inherited from the harness cannot swallow the timer.  The
@@ -232,29 +235,30 @@ def _fenced(instance, strategy, cluster_config, params, memory_mb: int, deadline
     # A timer of 0 would be no timer.
     signal.setitimer(signal.ITIMER_REAL, max(deadline - time.perf_counter(), 1e-6))
     try:
-        return _run_inprocess(instance, strategy, cluster_config, params)
+        return _run(instance, strategy, cluster_config, params)
+    except Exception as exc:
+        traceback.print_exc()  # the parent raises exc without the child's frames
+        return exc
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def _run_budgeted(instance, strategy, cluster_config, params, budget: BudgetConfig):
-    """One run in a child of geo.fork_join that enforces its own limits; this
+    """_run in a child of geo.fork_join that enforces its own limits; this
     process only waits.  The child is daemonic, so the solve forks no
-    children: the limits fence one process.  A child that the timer or the
-    memory limit ends becomes a CRASHED_BUDGET record.  The wall budget
-    counts from here, so that the fork is part of it."""
+    children: the limits fence one process.  A child that ends without an
+    outcome (its timer fired, or it was killed) is a CRASHED_BUDGET run; an
+    exception it sends back is raised here.  The wall budget counts from
+    here, so that the fork is part of it."""
     started = time.perf_counter()
-    deadline = started + budget.wall_s
-    job = functools.partial(_fenced, instance, strategy, cluster_config, params, budget.memory_mb, deadline)
+    job = functools.partial(_fenced, instance, strategy, cluster_config, params, budget.memory_mb, started + budget.wall_s)
     try:
         [outcome] = fork_join(lambda: None, [("the fenced run", None, job)])
     except RuntimeError:
-        return RunStatus.CRASHED_BUDGET, time.perf_counter() - started, None, None, None
+        return RunStatus.CRASHED_BUDGET, time.perf_counter() - started, None
+    if isinstance(outcome, Exception):
+        raise outcome
     return outcome
-
-
-def _archive_path(archive_dir: str, n: int, rep: int, strategy: Strategy) -> str:
-    return os.path.join(archive_dir, f"plan_{n:05d}_r{rep:02d}_{strategy.value}.json")
 
 
 def _run_cell(
@@ -268,25 +272,17 @@ def _run_cell(
     budget: Optional[BudgetConfig],
     archive_dir: Optional[str],
 ) -> list[BenchRecord]:
-    seed = _cell_seed(base_seed, n, rep)
-    if template is None:
-        config = GeneratorConfig(n_waypoints=n, seed=seed)
-    else:
-        from dataclasses import replace
-
-        config = replace(template, n_waypoints=n, seed=seed)
+    config = replace(template or GeneratorConfig(n_waypoints=n), n_waypoints=n, seed=_cell_seed(base_seed, n, rep))
     instance = generate_instance(config)
+    run = _run if budget is None else functools.partial(_run_budgeted, budget=budget)
     records = []
     for strategy in strategies:
-        if budget is None:
-            status, runtime_s, dist, busy, doc = _run_inprocess(instance, strategy, cluster_config, params)
-        else:
-            status, runtime_s, dist, busy, doc = _run_budgeted(instance, strategy, cluster_config, params, budget)
-        if status is RunStatus.OK and archive_dir is not None and doc is not None:
-            path = _archive_path(archive_dir, n, rep, strategy)
+        status, runtime_s, result = run(instance, strategy, cluster_config, params)
+        if result is not None and archive_dir is not None:
+            path = os.path.join(archive_dir, f"plan_{n:05d}_r{rep:02d}_{strategy.value}.json")
             try:
                 with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh)
+                    json.dump(plan_to_dict(result.plan), fh)
             except OSError as exc:
                 raise OSError(f"cannot archive plan to {path}: {exc}") from exc
         records.append(
@@ -294,9 +290,9 @@ def _run_cell(
                 n_waypoints=n,
                 strategy=strategy,
                 repetition_index=rep,
-                runtime_s=round(runtime_s, 6) if runtime_s is not None else None,
-                distance_m=int(dist) if dist is not None else None,
-                busy_vehicles=busy,
+                runtime_s=round(runtime_s, 6),
+                distance_m=None if result is None else int(result.total_distance),
+                busy_vehicles=None if result is None else result.busy_vehicle_count,
                 status=status,
             )
         )
@@ -321,13 +317,18 @@ def run_benchmark(
     archive_dir: Optional[str] = None,
     workers: int = 1,
 ) -> list[BenchRecord]:
-    """Run the strategy comparison grid; failures become records, never raises.
+    """Run the strategy comparison grid; records come in the order they are made.
 
     Each (size, repetition) cell generates one seeded instance and runs every
     requested strategy on it, so per-cell deltas are paired.  `generator`
     supplies non-default knobs (windows, demand range, capacity); its
-    n_waypoints and seed fields are overridden per cell.
+    n_waypoints and seed fields are overridden per cell.  A run that finds
+    no plan is a NO_SOLUTION record, a MemoryError or a breached `budget` a
+    CRASHED_BUDGET record; any other exception propagates, fenced or not.
+    Repeated sizes raise ValueError.
     """
+    if len(set(sizes)) != len(sizes):
+        raise ValueError(f"sizes must not repeat, got {list(sizes)}")
     if archive_dir is not None:
         os.makedirs(archive_dir, exist_ok=True)
     cells = [(n, rep) for n in sizes for rep in range(repetitions)]
@@ -349,11 +350,7 @@ def run_benchmark(
 
         with ProcessPoolExecutor(max_workers=workers, initializer=_solve_in_process) as pool:
             batches = list(pool.map(run_one, *zip(*cells)))
-    records = [record for batch in batches for record in batch]
-    order = {s: i for i, s in enumerate(strategies)}
-    size_order = {n: i for i, n in enumerate(sizes)}
-    records.sort(key=lambda r: (size_order[r.n_waypoints], r.repetition_index, order[r.strategy]))
-    return records
+    return [record for batch in batches for record in batch]
 
 
 _CSV_STRATEGY_SUFFIX = {

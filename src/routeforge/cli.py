@@ -74,8 +74,11 @@ def _positive_int(text: str, rule: str) -> int:
 
 
 def _waypoint_counts(text: str) -> list[int]:
-    """Parse --sizes: comma-separated positive waypoint counts."""
-    return [_positive_int(tok, "waypoint counts must be positive integers") for tok in filter(None, text.split(","))]
+    """Parse --sizes: comma-separated positive waypoint counts, none repeated."""
+    sizes = [_positive_int(tok, "waypoint counts must be positive integers") for tok in filter(None, text.split(","))]
+    if len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError(f"waypoint counts must not repeat, got {text!r}")
+    return sizes
 
 
 def _given(**values) -> dict:

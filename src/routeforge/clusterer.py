@@ -162,20 +162,15 @@ def binary_search_clusters(
     points: Sequence[GeoPoint],
     config: ClusterConfig,
     feasibility: Feasibility = Feasibility.MAX_SIZE_CAP,
-    *,
-    tree: Optional[SpanningTree] = None,
 ) -> tuple[ClusterSet, int]:
     """The depth-0 clusters at the integer radius with the best feasible
     clustering, and that radius.
 
-    The tree is built here unless the caller passes one over these points;
-    the radius search probes it, and only the winning radius is cut into
-    clusters.  Raises NoSolutionFoundError when no probe is feasible.
+    The radius search probes the points' spanning tree, and only the
+    winning radius is cut into clusters.  Raises NoSolutionFoundError when
+    no probe is feasible.
     """
-    if tree is None:
-        tree = spanning_tree(points)
-    elif tree.n != len(points):
-        raise ValueError(f"spanning tree covers {tree.n} points, got {len(points)}")
+    tree = spanning_tree(points)
     radius = _best_radius(tree, config, feasibility)
     clusters = tuple(
         _make_cluster(points, members, radius, 0)

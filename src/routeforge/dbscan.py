@@ -77,8 +77,11 @@ class SpanningTree:
     weights: np.ndarray
 
     def edges_within(self, eps_m: float) -> int:
-        """How many edges weigh at most eps_m: they are a prefix, and each
-        joins two components, so the cut at eps_m has n minus this many."""
+        """How many edges weigh at most eps_m, finite and at least 0: they are
+        a prefix, and each joins two components, so the cut at eps_m has n
+        minus this many."""
+        if not 0.0 <= eps_m < math.inf:
+            raise ValueError(f"radius_m must be finite and non-negative, got {eps_m}")
         return int(np.searchsorted(self.weights, eps_m, side="right"))
 
     def peak_sizes(self) -> list[int]:
@@ -351,8 +354,6 @@ def dbscan(
     Pass a tree from spanning_tree(points) to amortize repeated runs over
     the same points at different radii.
     """
-    if not 0.0 <= radius_m < math.inf:
-        raise ValueError(f"radius_m must be finite and non-negative, got {radius_m}")
     n = len(points)
     if n == 0:
         raise EmptyInputError("cannot cluster an empty point set")

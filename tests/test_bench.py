@@ -25,7 +25,8 @@ from routeforge.bench import (
     run_benchmark,
     summarise,
 )
-from routeforge import pipeline
+from routeforge import bench, pipeline
+from routeforge.clusterer import NoSolutionFoundError
 from routeforge.geo import haversine_distance
 from routeforge.model import (
     instance_to_dict,
@@ -108,6 +109,9 @@ def test_generator_config_validation():
         GeneratorConfig(n_waypoints=10, fleet_size=0)
     with pytest.raises(ValueError):
         GeneratorConfig(n_waypoints=10, vehicle_capacity=0)
+    with pytest.raises(ValueError, match="exceeds vehicle_capacity"):
+        GeneratorConfig(n_waypoints=10, demand_range=(1, 31), vehicle_capacity=30)
+    GeneratorConfig(n_waypoints=10, demand_range=(1, 30), vehicle_capacity=30)
 
 
 def test_generator_is_deterministic():
@@ -334,6 +338,33 @@ def test_budgeted_run_matches_unbudgeted_results(tmp_path):
     assert sorted(os.listdir(tmp_path / "fenced")) == names
     for name in names:
         assert (tmp_path / "fenced" / name).read_bytes() == (tmp_path / "free" / name).read_bytes()
+
+
+@pytest.mark.parametrize("budget", [None, BudgetConfig()], ids=["in_process", "fenced"])
+def test_unexpected_error_propagates_fenced_or_not(monkeypatch, budget):
+    def broken(*args, **kwargs):
+        raise ValueError("broken strategy")
+
+    monkeypatch.setattr(bench, "run_strategy", broken)
+    with pytest.raises(ValueError, match="broken strategy"):
+        run_benchmark(sizes=[20], repetitions=1, budget=budget)
+
+
+@pytest.mark.parametrize("budget", [None, BudgetConfig()], ids=["in_process", "fenced"])
+def test_no_solution_is_timed_by_run_strategy_fenced_or_not(monkeypatch, budget):
+    def unsolvable(*args, **kwargs):
+        exc = NoSolutionFoundError("no plan")
+        exc.wall_time_ms = 1234.5
+        raise exc
+
+    monkeypatch.setattr(bench, "run_strategy", unsolvable)
+    records = run_benchmark(sizes=[20], repetitions=1, strategies=[Strategy.DBSCAN], budget=budget)
+    assert [(r.status, r.runtime_s, r.distance_m) for r in records] == [(RunStatus.NO_SOLUTION, 1.2345, None)]
+
+
+def test_repeated_sizes_rejected():
+    with pytest.raises(ValueError, match="sizes must not repeat"):
+        run_benchmark(sizes=[40, 60, 40], repetitions=1)
 
 
 def test_benchmark_is_deterministic_apart_from_runtime():

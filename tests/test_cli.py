@@ -275,6 +275,9 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         (["solve", "{inst}", "--min-radius", "50", "--max-radius", "10"], "min_radius 50 exceeds max_radius 10"),
         (["cluster", "{inst}", "--max-radius", "-5"], "min_radius 1 exceeds max_radius -5"),
         (["bench", "--sizes", "30", "--reps", "1", "--min-radius", "20000"], "min_radius 20000 exceeds max_radius 10000"),
+        (["generate", "--n", "100", "--demand-max", "50", "--capacity", "30"], "exceeds vehicle_capacity 30"),
+        (["bench", "--sizes", "30", "--reps", "1", "--demand-max", "50", "--capacity", "30"], "exceeds vehicle_capacity 30"),
+        (["bench", "--sizes", "40,40", "--reps", "1"], "waypoint counts must not repeat, got '40,40'"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):

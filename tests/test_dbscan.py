@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -183,9 +184,11 @@ def assert_same_clusterings(points, tree: SpanningTree, reference: SpanningTree)
 def test_params_validation():
     points = [east(0), east(50)]
     assert dbscan(points, 0.0) == [[0], [1]]
+    tree = spanning_tree(points)
     for bad in (-1e-9, math.inf, math.nan):
-        with pytest.raises(ValueError, match="radius_m must be finite and non-negative"):
-            dbscan(points, bad)
+        for probe in (partial(dbscan, points), tree.cut, tree.edges_within):
+            with pytest.raises(ValueError, match="radius_m must be finite and non-negative"):
+                probe(bad)
     # the radius was once an angle in radians: a call still passing one fails
     with pytest.raises(TypeError):
         dbscan(points, epsilon=1e-4)
@@ -275,12 +278,6 @@ def test_tree_over_other_points_rejected():
     points = [east(0), east(50), east(100)]
     with pytest.raises(ValueError):
         dbscan(points, 60, tree=spanning_tree(points[:2]))
-    # a search whose probes are all infeasible still rejects the tree
-    config = ClusterConfig(min_no_clusters=10)
-    with pytest.raises(ValueError):
-        binary_search_clusters(
-            points, config, Feasibility.MIN_CLUSTER_COUNT, tree=spanning_tree(points[:2])
-        )
 
 
 @pytest.mark.parametrize(

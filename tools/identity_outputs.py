@@ -22,9 +22,11 @@ so the solve throws some pre-solved plans away and solves those clusters
 again in order.  Last, it writes
 
     OUT_DIR/bench.csv                  routeforge bench --sizes 300 --reps 1
+    OUT_DIR/bench_unfenced.csv         the same with --no-budget
 
-the CSV of a small grid of every strategy, each run fenced in its budgeted
-child, without the runtime columns.
+the CSV of a small grid of every strategy without the runtime columns, once
+with each run fenced in its budgeted child and once with every run in
+process.  The two files are equal when both run paths agree.
 
 Nothing that varies run to run (the solve line with its wall time) is
 written.  It solves with the ``routeforge`` package found on the import
@@ -93,16 +95,16 @@ def _case(cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int,
     print(f"{os.path.basename(out)} done", file=sys.stderr)
 
 
-def _bench(cli, out: str) -> None:
+def _bench(cli, out: str, name: str, flags: tuple[str, ...] = ()) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        raw = os.path.join(tmp, "bench.csv")
-        _run(cli, ["bench", "--sizes", "300", "--reps", "1", "--out", raw])
+        raw = os.path.join(tmp, name)
+        _run(cli, ["bench", "--sizes", "300", "--reps", "1", *flags, "--out", raw])
         with open(raw, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
-    keep = [k for k, name in enumerate(rows[0]) if not name.startswith("runtime_")]
-    with open(os.path.join(out, "bench.csv"), "w", encoding="utf-8", newline="") as fh:
+    keep = [k for k, column in enumerate(rows[0]) if not column.startswith("runtime_")]
+    with open(os.path.join(out, name), "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh).writerows([row[k] for k in keep] for row in rows)
-    print("bench done", file=sys.stderr)
+    print(f"{name} done", file=sys.stderr)
 
 
 def _files(root: str) -> set[str]:
@@ -172,7 +174,8 @@ def main(argv: list[str]) -> int:
     n, seed, capacities = MIXED_FLEET
     fleet = "-".join(map(str, capacities))
     _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_fleet{fleet}"), n, seed, "wide", capacities)
-    _bench(cli, argv[0])
+    _bench(cli, argv[0], "bench.csv")
+    _bench(cli, argv[0], "bench_unfenced.csv", ("--no-budget",))
     return 0
 
 
