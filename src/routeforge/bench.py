@@ -2,12 +2,13 @@
 
 Instances are drawn from a mixture of Gaussian density blobs inside a
 Hong-Kong-sized bounding box, so the clustering strategies have real
-spatial structure to find.  The harness runs each (size, repetition)
-cell on one shared instance per strategy and exports the wide comparison
-CSV plus GeoJSON for route inspection.  _run holds the one failure rule,
-fenced or not: a run that finds no plan becomes a no_solution record, a
-MemoryError or a breached budget fence a crashed_budget record, and any
-other exception propagates.  Sizes must not repeat.
+spatial structure to find.  The harness runs the (size, repetition)
+cells one after another, every strategy on the cell's one instance, and
+exports the wide comparison CSV plus GeoJSON for route inspection.  _run
+holds the one failure rule, fenced or not: a run that finds no plan
+becomes a no_solution record, a MemoryError or a breached budget fence a
+crashed_budget record, and any other exception propagates.  Sizes must
+not repeat.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 
 from .clusterer import ClusterConfig, NoSolutionFoundError
 from .geo import GeoPoint, fork_join, haversine_distance
-from .geo import worker_cap as _worker_cap
 from .model import (
     Depot,
     ProblemInstance,
@@ -261,49 +261,6 @@ def _run_budgeted(instance, strategy, cluster_config, params, budget: BudgetConf
     return outcome
 
 
-def _run_cell(
-    n: int,
-    rep: int,
-    base_seed: int,
-    template: Optional[GeneratorConfig],
-    strategies: Sequence[Strategy],
-    cluster_config: Optional[ClusterConfig],
-    params: Optional[SolverParams],
-    budget: Optional[BudgetConfig],
-    archive_dir: Optional[str],
-) -> list[BenchRecord]:
-    config = replace(template or GeneratorConfig(n_waypoints=n), n_waypoints=n, seed=_cell_seed(base_seed, n, rep))
-    instance = generate_instance(config)
-    run = _run if budget is None else functools.partial(_run_budgeted, budget=budget)
-    records = []
-    for strategy in strategies:
-        status, runtime_s, result = run(instance, strategy, cluster_config, params)
-        if result is not None and archive_dir is not None:
-            path = os.path.join(archive_dir, f"plan_{n:05d}_r{rep:02d}_{strategy.value}.json")
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    json.dump(plan_to_dict(result.plan), fh)
-            except OSError as exc:
-                raise OSError(f"cannot archive plan to {path}: {exc}") from exc
-        records.append(
-            BenchRecord(
-                n_waypoints=n,
-                strategy=strategy,
-                repetition_index=rep,
-                runtime_s=round(runtime_s, 6),
-                distance_m=None if result is None else int(result.total_distance),
-                busy_vehicles=None if result is None else result.busy_vehicle_count,
-                status=status,
-            )
-        )
-    return records
-
-
-def _solve_in_process() -> None:
-    """Bench workers already fill the CPUs, so their solves fork no children."""
-    os.environ["ROUTE_FORGE_THREADS"] = "1"
-
-
 def run_benchmark(
     sizes: Sequence[int] = DEFAULT_SIZES,
     repetitions: int = DEFAULT_REPS,
@@ -315,9 +272,10 @@ def run_benchmark(
     params: Optional[SolverParams] = None,
     budget: Optional[BudgetConfig] = None,
     archive_dir: Optional[str] = None,
-    workers: int = 1,
 ) -> list[BenchRecord]:
-    """Run the strategy comparison grid; records come in the order they are made.
+    """Run the strategy comparison grid, one run after another; records come
+    in the order they are made: by size as given, then repetition, then
+    strategy.
 
     Each (size, repetition) cell generates one seeded instance and runs every
     requested strategy on it, so per-cell deltas are paired.  `generator`
@@ -331,26 +289,33 @@ def run_benchmark(
         raise ValueError(f"sizes must not repeat, got {list(sizes)}")
     if archive_dir is not None:
         os.makedirs(archive_dir, exist_ok=True)
-    cells = [(n, rep) for n in sizes for rep in range(repetitions)]
-    workers = _worker_cap(workers)
-    run_one = functools.partial(
-        _run_cell,
-        base_seed=base_seed,
-        template=generator,
-        strategies=tuple(strategies),
-        cluster_config=cluster_config,
-        params=params,
-        budget=budget,
-        archive_dir=archive_dir,
-    )
-    if workers <= 1 or len(cells) <= 1:
-        batches = [run_one(n, rep) for n, rep in cells]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers, initializer=_solve_in_process) as pool:
-            batches = list(pool.map(run_one, *zip(*cells)))
-    return [record for batch in batches for record in batch]
+    template = generator or GeneratorConfig(n_waypoints=1)
+    run = _run if budget is None else functools.partial(_run_budgeted, budget=budget)
+    records = []
+    for n in sizes:
+        for rep in range(repetitions):
+            instance = generate_instance(replace(template, n_waypoints=n, seed=_cell_seed(base_seed, n, rep)))
+            for strategy in strategies:
+                status, runtime_s, result = run(instance, strategy, cluster_config, params)
+                if result is not None and archive_dir is not None:
+                    path = os.path.join(archive_dir, f"plan_{n:05d}_r{rep:02d}_{strategy.value}.json")
+                    try:
+                        with open(path, "w", encoding="utf-8") as fh:
+                            json.dump(plan_to_dict(result.plan), fh)
+                    except OSError as exc:
+                        raise OSError(f"cannot archive plan to {path}: {exc}") from exc
+                records.append(
+                    BenchRecord(
+                        n_waypoints=n,
+                        strategy=strategy,
+                        repetition_index=rep,
+                        runtime_s=round(runtime_s, 6),
+                        distance_m=None if result is None else int(result.total_distance),
+                        busy_vehicles=None if result is None else result.busy_vehicle_count,
+                        status=status,
+                    )
+                )
+    return records
 
 
 _CSV_STRATEGY_SUFFIX = {

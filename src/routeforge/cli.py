@@ -74,8 +74,11 @@ def _positive_int(text: str, rule: str) -> int:
 
 
 def _waypoint_counts(text: str) -> list[int]:
-    """Parse --sizes: comma-separated positive waypoint counts, none repeated."""
+    """Parse --sizes: comma-separated positive waypoint counts, at least one,
+    none repeated."""
     sizes = [_positive_int(tok, "waypoint counts must be positive integers") for tok in filter(None, text.split(","))]
+    if not sizes:
+        raise argparse.ArgumentTypeError(f"waypoint counts name no size, got {text!r}")
     if len(set(sizes)) != len(sizes):
         raise argparse.ArgumentTypeError(f"waypoint counts must not repeat, got {text!r}")
     return sizes
@@ -203,7 +206,7 @@ def _cmd_bench(args) -> int:
         sizes, reps = list(FULL_SIZES), FULL_REPS
     else:
         sizes, reps = list(DEFAULT_SIZES), DEFAULT_REPS
-    if args.sizes:
+    if args.sizes is not None:
         sizes = args.sizes
     if args.reps is not None:
         reps = args.reps
@@ -229,7 +232,7 @@ def _cmd_bench(args) -> int:
         params=_solver_params(args),
         budget=budget,
         archive_dir=args.archive_dir,
-        **_given(base_seed=args.seed, workers=args.workers),
+        **_given(base_seed=args.seed),
     )
     export_csv(records, args.out)
     failures = sum(1 for r in records if r.status is not RunStatus.OK)
@@ -305,11 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--capacity", type=int, default=None)
     p_bench.add_argument("--demand-max", type=int, default=None)
     p_bench.add_argument("--archive-dir", default=None, help="write each OK plan JSON here")
-    p_bench.add_argument(
-        "--workers",
-        type=lambda text: _positive_int(text, "workers must be a positive integer"),
-        help="parallel cells (capped by ROUTE_FORGE_THREADS)",
-    )
     p_bench.add_argument("--budget-mb", type=int)
     p_bench.add_argument("--budget-wall-s", type=float)
     p_bench.add_argument("--no-budget", action="store_true", help="run in-process without per-run limits")

@@ -109,24 +109,21 @@ class HaversineKernel:
         return 2.0 * METERS_PER_RADIAN * arc
 
 
-def worker_cap(requested: int) -> int:
-    """Cap a worker count by the ROUTE_FORGE_THREADS environment variable."""
-    cap = os.environ.get("ROUTE_FORGE_THREADS")
-    if cap:
-        try:
-            requested = min(requested, max(1, int(cap)))
-        except ValueError:
-            pass
-    return max(1, requested)
-
-
 def usable_cpus() -> int:
-    """The CPUs this process may run on, capped by ROUTE_FORGE_THREADS."""
+    """The CPUs this process may run on, capped by the ROUTE_FORGE_THREADS
+    environment variable: 0 or less caps at 1, and a value that is not an
+    integer is ignored."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity, and no safe fork (macOS, Windows)
         return 1
-    return worker_cap(cpus)
+    cap = os.environ.get("ROUTE_FORGE_THREADS")
+    if cap:
+        try:
+            cpus = min(cpus, max(1, int(cap)))
+        except ValueError:
+            pass
+    return cpus
 
 
 def place_on(cpu: int) -> None:
@@ -147,8 +144,8 @@ def place_on(cpu: int) -> None:
 def may_fork() -> bool:
     """Whether this process may start forked children: the one rule for the
     matrix fill and the pipeline's pre-solves.  A daemonic process (a fill
-    or pre-solve child, a multiprocessing.Pool worker) may not start
-    children, and a fork would copy whatever locks other threads hold."""
+    or pre-solve child, the fenced child of a budgeted bench run) may not
+    start children, and a fork would copy whatever locks other threads hold."""
     return not multiprocessing.current_process().daemon and threading.active_count() == 1
 
 

@@ -41,6 +41,10 @@ class InfeasibleSequenceError(Exception):
             f"{service_start:.1f} exceeds window close {latest}"
         )
 
+    def __reduce__(self):
+        # args holds the message, so the default would rebuild from it.
+        return InfeasibleSequenceError, (self.waypoint_id, self.service_start, self.latest)
+
 
 @dataclass(frozen=True)
 class TimeWindow:

@@ -17,7 +17,6 @@ from routeforge.bench import (
     RunStatus,
     WindowStyle,
     _cell_seed,
-    _worker_cap,
     export_csv,
     export_geojson,
     generate_instance,
@@ -29,12 +28,13 @@ from routeforge import bench, pipeline
 from routeforge.clusterer import NoSolutionFoundError
 from routeforge.geo import haversine_distance
 from routeforge.model import (
+    InfeasibleSequenceError,
     instance_to_dict,
     plan_from_dict,
     validate_solution,
 )
 from routeforge.pipeline import Strategy, run_strategy
-from routeforge.solver import SolverParams, solve_cvrptw
+from routeforge.solver import SolverParams
 
 FAST = SolverParams(time_limit_ms=100)
 
@@ -342,12 +342,15 @@ def test_budgeted_run_matches_unbudgeted_results(tmp_path):
 
 @pytest.mark.parametrize("budget", [None, BudgetConfig()], ids=["in_process", "fenced"])
 def test_unexpected_error_propagates_fenced_or_not(monkeypatch, budget):
-    def broken(*args, **kwargs):
-        raise ValueError("broken strategy")
+    for error in (ValueError("broken strategy"), InfeasibleSequenceError(3, 10.0, 5)):
 
-    monkeypatch.setattr(bench, "run_strategy", broken)
-    with pytest.raises(ValueError, match="broken strategy"):
-        run_benchmark(sizes=[20], repetitions=1, budget=budget)
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(bench, "run_strategy", broken)
+        with pytest.raises(type(error)) as raised:
+            run_benchmark(sizes=[20], repetitions=1, budget=budget)
+        assert str(raised.value) == str(error)
 
 
 @pytest.mark.parametrize("budget", [None, BudgetConfig()], ids=["in_process", "fenced"])
@@ -372,46 +375,6 @@ def test_benchmark_is_deterministic_apart_from_runtime():
     b = run_benchmark(sizes=[40], repetitions=2, params=FAST)
     strip = lambda rs: [(r.n_waypoints, r.repetition_index, r.strategy, r.status, r.distance_m, r.busy_vehicles) for r in rs]
     assert strip(a) == strip(b)
-
-
-def test_parallel_workers_match_sequential(tmp_path):
-    sequential = run_benchmark(sizes=[30, 40], repetitions=1, params=FAST)
-    parallel = run_benchmark(sizes=[30, 40], repetitions=1, params=FAST, workers=2)
-    strip = lambda rs: [(r.n_waypoints, r.repetition_index, r.strategy, r.status, r.distance_m, r.busy_vehicles) for r in rs]
-    assert strip(sequential) == strip(parallel)
-
-
-def test_parallel_workers_solve_in_process(monkeypatch, tmp_path):
-    # Every sub-solve notes the pid of its process's parent: a bench worker
-    # (child of this process) that solved in process, or a pool it started.
-    pid_file = tmp_path / "parents"
-
-    def noted(sub, params):
-        with open(pid_file, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getppid()}\n")
-        return solve_cvrptw(sub, params)
-
-    monkeypatch.setattr(pipeline, "solve_cvrptw", noted)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
-    records = run_benchmark(
-        sizes=[1_200], repetitions=2, strategies=[Strategy.DBSCAN], params=FAST, workers=2
-    )
-    assert [r.status for r in records] == [RunStatus.OK] * 2
-    assert set(pid_file.read_text().split()) == {str(os.getpid())}
-
-
-def test_worker_cap_env(monkeypatch):
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "1")
-    assert _worker_cap(4) == 1
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "8")
-    assert _worker_cap(4) == 4
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "garbage")
-    assert _worker_cap(4) == 4
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "0")
-    assert _worker_cap(4) == 1
-    monkeypatch.delenv("ROUTE_FORGE_THREADS")
-    assert _worker_cap(4) == 4
 
 
 # --- CSV ---

@@ -269,8 +269,8 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         (["bench", "--sizes", "30", "--reps", "1", "--budget-mb", "0"], "memory_mb"),
         (["bench", "--sizes", "30", "--reps", "1", "--budget-wall-s", "0"], "wall_s"),
         (["bench", "--sizes", "30", "--reps", "1", "--budget-wall-s", "inf"], "wall_s"),
-        (["bench", "--sizes", "30", "--reps", "1", "--workers", "0"], "workers must be a positive integer, got '0'"),
-        (["bench", "--sizes", "30", "--reps", "1", "--workers", "-3"], "workers must be a positive integer, got '-3'"),
+        (["bench", "--sizes", ",", "--reps", "1"], "waypoint counts name no size, got ','"),
+        (["bench", "--sizes", "", "--reps", "1"], "waypoint counts name no size, got ''"),
         (["bench", "--sizes", "30", "--reps", "1", "--strategies", ",,"], "names no strategy"),
         (["solve", "{inst}", "--min-radius", "50", "--max-radius", "10"], "min_radius 50 exceeds max_radius 10"),
         (["cluster", "{inst}", "--max-radius", "-5"], "min_radius 1 exceeds max_radius -5"),

@@ -338,3 +338,21 @@ def test_one_process_fill_needs_no_fork_context(monkeypatch):
     out = pairwise_meters(points)
     assert out[3, 17] == haversine_distance(points[3], points[17]) == out[17, 3]
     assert geo.fork_join(lambda: None, []) == []
+
+
+def test_usable_cpus_env(monkeypatch):
+    # ROUTE_FORGE_THREADS caps the affinity count; 0 or less caps at 1, and
+    # a value that is not an integer is ignored.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    monkeypatch.setenv("ROUTE_FORGE_THREADS", "1")
+    assert geo.usable_cpus() == 1
+    monkeypatch.setenv("ROUTE_FORGE_THREADS", "8")
+    assert geo.usable_cpus() == 4
+    monkeypatch.setenv("ROUTE_FORGE_THREADS", "garbage")
+    assert geo.usable_cpus() == 4
+    monkeypatch.setenv("ROUTE_FORGE_THREADS", "0")
+    assert geo.usable_cpus() == 1
+    monkeypatch.setenv("ROUTE_FORGE_THREADS", "-3")
+    assert geo.usable_cpus() == 1
+    monkeypatch.delenv("ROUTE_FORGE_THREADS")
+    assert geo.usable_cpus() == 4

@@ -21,12 +21,14 @@ id.  Its later clusters find another capacity order among the free vehicles,
 so the solve throws some pre-solved plans away and solves those clusters
 again in order.  Last, it writes
 
-    OUT_DIR/bench.csv                  routeforge bench --sizes 300 --reps 1
+    OUT_DIR/bench.csv                  routeforge bench --sizes 300,200 --reps 2
     OUT_DIR/bench_unfenced.csv         the same with --no-budget
 
 the CSV of a small grid of every strategy without the runtime columns, once
 with each run fenced in its budgeted child and once with every run in
-process.  The two files are equal when both run paths agree.
+process.  The sizes are not in sorted order and each has two repetitions,
+so the files also show the order in which the grid runs its cells.  The
+two files are equal when both run paths agree.
 
 Nothing that varies run to run (the solve line with its wall time) is
 written.  It solves with the ``routeforge`` package found on the import
@@ -98,7 +100,7 @@ def _case(cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int,
 def _bench(cli, out: str, name: str, flags: tuple[str, ...] = ()) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         raw = os.path.join(tmp, name)
-        _run(cli, ["bench", "--sizes", "300", "--reps", "1", *flags, "--out", raw])
+        _run(cli, ["bench", "--sizes", "300,200", "--reps", "2", *flags, "--out", raw])
         with open(raw, encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
     keep = [k for k, column in enumerate(rows[0]) if not column.startswith("runtime_")]
