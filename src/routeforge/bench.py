@@ -83,6 +83,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.n_waypoints < 1:
             raise ValueError("n_waypoints must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         lo, hi = self.demand_range
         if not 1 <= lo <= hi:
             raise ValueError(f"bad demand_range {self.demand_range}")
@@ -283,10 +285,14 @@ def run_benchmark(
     n_waypoints and seed fields are overridden per cell.  A run that finds
     no plan is a NO_SOLUTION record, a MemoryError or a breached `budget` a
     CRASHED_BUDGET record; any other exception propagates, fenced or not.
-    Repeated sizes raise ValueError.
+    Repeated sizes or strategies and a negative base seed raise ValueError.
     """
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"sizes must not repeat, got {list(sizes)}")
+    if len(set(strategies)) != len(strategies):
+        raise ValueError(f"strategies must not repeat, got {[s.value for s in strategies]}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     if archive_dir is not None:
         os.makedirs(archive_dir, exist_ok=True)
     template = generator or GeneratorConfig(n_waypoints=1)
@@ -323,41 +329,34 @@ _CSV_STRATEGY_SUFFIX = {
     Strategy.DBSCAN: "dbscan",
     Strategy.RECURSIVE_DBSCAN: "recursive",
 }
-CSV_COLUMNS = ["wps"] + [
-    f"{prefix}_{suffix}"
-    for prefix in ("runtime", "distance", "cars")
-    for suffix in ("monolithic", "dbscan", "recursive")
-]
+# (CSV column prefix, BenchRecord field, summarise key, digits of its mean)
+_METRICS = (
+    ("runtime", "runtime_s", "mean_runtime_s", 3),
+    ("distance", "distance_m", "mean_distance_m", 1),
+    ("cars", "busy_vehicles", "mean_cars", 2),
+)
+CSV_COLUMNS = ["wps"] + [f"{prefix}_{suffix}" for prefix, *_ in _METRICS for suffix in _CSV_STRATEGY_SUFFIX.values()]
 
 
 def export_csv(records: Iterable[BenchRecord], path: str) -> None:
     """Wide CSV, one row per (size, repetition); missing strategy cells are `-`."""
-    by_cell: dict[tuple[int, int], dict[str, BenchRecord]] = {}
-    cell_order: list[tuple[int, int]] = []
+    by_cell: dict[tuple[int, int], dict[Strategy, BenchRecord]] = {}
     for record in records:
-        key = (record.n_waypoints, record.repetition_index)
-        if key not in by_cell:
-            by_cell[key] = {}
-            cell_order.append(key)
-        by_cell[key][_CSV_STRATEGY_SUFFIX[record.strategy]] = record
+        by_cell.setdefault((record.n_waypoints, record.repetition_index), {})[record.strategy] = record
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(CSV_COLUMNS)
-            for key in cell_order:
-                n, _rep = key
+            for (n, _rep), cell in by_cell.items():
                 row = [str(n)]
-                for prefix in ("runtime", "distance", "cars"):
-                    for suffix in ("monolithic", "dbscan", "recursive"):
-                        record = by_cell[key].get(suffix)
+                for prefix, field_name, _key, _digits in _METRICS:
+                    for strategy in _CSV_STRATEGY_SUFFIX:
+                        record = cell.get(strategy)
                         if record is None or record.status is not RunStatus.OK:
                             row.append("-")
-                        elif prefix == "runtime":
-                            row.append(f"{record.runtime_s:.6f}")
-                        elif prefix == "distance":
-                            row.append(str(record.distance_m))
                         else:
-                            row.append(str(record.busy_vehicles))
+                            value = getattr(record, field_name)
+                            row.append(f"{value:.6f}" if prefix == "runtime" else str(value))
                 writer.writerow(row)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
@@ -374,17 +373,16 @@ def parse_csv(path: str) -> list[dict]:
             for raw in reader:
                 row: dict = {"wps": int(raw["wps"])}
                 for col in CSV_COLUMNS[1:]:
-                    value = raw[col]
-                    if value == "-":
-                        row[col] = None
-                    elif col.startswith("runtime"):
-                        row[col] = float(value)
-                    else:
-                        row[col] = int(value)
+                    kind = float if col.startswith("runtime") else int
+                    row[col] = None if raw[col] == "-" else kind(raw[col])
                 rows.append(row)
             return rows
     except OSError as exc:
         raise OSError(f"cannot read results from {path}: {exc}") from exc
+
+
+def _mean(records: list[BenchRecord], field_name: str) -> float:
+    return sum(getattr(r, field_name) for r in records) / len(records)
 
 
 def summarise(records: Iterable[BenchRecord]) -> list[dict]:
@@ -392,33 +390,21 @@ def summarise(records: Iterable[BenchRecord]) -> list[dict]:
     groups: dict[tuple[int, Strategy], list[BenchRecord]] = {}
     for record in records:
         groups.setdefault((record.n_waypoints, record.strategy), []).append(record)
-    sizes = sorted({n for n, _ in groups})
     out = []
-    for n in sizes:
+    for n in sorted({n for n, _ in groups}):
         baseline = [r for r in groups.get((n, Strategy.MONOLITHIC), []) if r.status is RunStatus.OK]
-        base_runtime = sum(r.runtime_s for r in baseline) / len(baseline) if baseline else None
-        base_distance = sum(r.distance_m for r in baseline) / len(baseline) if baseline else None
-        base_cars = sum(r.busy_vehicles for r in baseline) / len(baseline) if baseline else None
         for strategy in Strategy:
             cell = groups.get((n, strategy))
             if cell is None:
                 continue
             ok = [r for r in cell if r.status is RunStatus.OK]
-            row = {
-                "wps": n,
-                "strategy": strategy.value,
-                "runs": len(cell),
-                "ok": len(ok),
-                "mean_runtime_s": round(sum(r.runtime_s for r in ok) / len(ok), 3) if ok else None,
-                "mean_distance_m": round(sum(r.distance_m for r in ok) / len(ok), 1) if ok else None,
-                "mean_cars": round(sum(r.busy_vehicles for r in ok) / len(ok), 2) if ok else None,
-            }
-            for name, base in (("runtime", base_runtime), ("distance", base_distance), ("cars", base_cars)):
-                mean = row[f"mean_{name}_s" if name == "runtime" else f"mean_{name}_m" if name == "distance" else "mean_cars"]
-                if strategy is Strategy.MONOLITHIC or not ok or base in (None, 0):
-                    row[f"{name}_delta_pct"] = None
-                else:
-                    row[f"{name}_delta_pct"] = round((mean / base - 1.0) * 100.0, 1)
+            row = {"wps": n, "strategy": strategy.value, "runs": len(cell), "ok": len(ok)}
+            for _prefix, field_name, key, digits in _METRICS:
+                row[key] = round(_mean(ok, field_name), digits) if ok else None
+            for prefix, field_name, key, _digits in _METRICS:
+                base = _mean(baseline, field_name) if baseline else 0
+                paired = strategy is not Strategy.MONOLITHIC and ok and base
+                row[f"{prefix}_delta_pct"] = round((row[key] / base - 1.0) * 100.0, 1) if paired else None
             out.append(row)
     return out
 

@@ -66,9 +66,9 @@ def _config(cls, **kwargs):
         raise _UsageError(f"bad option value: {exc}") from exc
 
 
-def _positive_int(text: str, rule: str) -> int:
-    """Parse a positive integer; `rule` opens the message that rejects `text`."""
-    if not text.strip().isdecimal() or int(text) < 1:
+def _int_at_least(text: str, least: int, rule: str) -> int:
+    """Parse an integer >= `least`; `rule` opens the message that rejects `text`."""
+    if not text.strip().isdecimal() or int(text) < least:
         raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
     return int(text)
 
@@ -76,12 +76,26 @@ def _positive_int(text: str, rule: str) -> int:
 def _waypoint_counts(text: str) -> list[int]:
     """Parse --sizes: comma-separated positive waypoint counts, at least one,
     none repeated."""
-    sizes = [_positive_int(tok, "waypoint counts must be positive integers") for tok in filter(None, text.split(","))]
+    sizes = [_int_at_least(tok, 1, "waypoint counts must be positive integers") for tok in filter(None, text.split(","))]
     if not sizes:
         raise argparse.ArgumentTypeError(f"waypoint counts name no size, got {text!r}")
     if len(set(sizes)) != len(sizes):
         raise argparse.ArgumentTypeError(f"waypoint counts must not repeat, got {text!r}")
     return sizes
+
+
+def _strategies(text: str) -> list[Strategy]:
+    """Parse --strategies: comma-separated strategy names, at least one,
+    none repeated."""
+    names = list(filter(None, text.split(",")))
+    for name in names:
+        if name not in _STRATEGY_NAMES:
+            raise argparse.ArgumentTypeError(f"unknown strategy {name!r}")
+    if not names:
+        raise argparse.ArgumentTypeError(f"strategy list names no strategy, got {text!r}")
+    if len(set(names)) != len(names):
+        raise argparse.ArgumentTypeError(f"strategies must not repeat, got {text!r}")
+    return [_STRATEGY_NAMES[name] for name in names]
 
 
 def _given(**values) -> dict:
@@ -202,22 +216,9 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.full:
-        sizes, reps = list(FULL_SIZES), FULL_REPS
-    else:
-        sizes, reps = list(DEFAULT_SIZES), DEFAULT_REPS
-    if args.sizes is not None:
-        sizes = args.sizes
-    if args.reps is not None:
-        reps = args.reps
-    strategies = list(Strategy)
-    if args.strategies is not None:
-        try:
-            strategies = [_STRATEGY_NAMES[tok] for tok in args.strategies.split(",") if tok]
-        except KeyError as exc:
-            raise _UsageError(f"unknown strategy {exc.args[0]!r}") from exc
-        if not strategies:
-            raise _UsageError(f"--strategies names no strategy: {args.strategies!r}")
+    # a given --sizes or --reps is never empty or 0
+    sizes = args.sizes or list(FULL_SIZES if args.full else DEFAULT_SIZES)
+    reps = args.reps or (FULL_REPS if args.full else DEFAULT_REPS)
     generator_flags = _generator_flags(args)
     generator = _config(GeneratorConfig, n_waypoints=1, **generator_flags) if generator_flags else None
     budget = None
@@ -226,7 +227,7 @@ def _cmd_bench(args) -> int:
     records = run_benchmark(
         sizes,
         reps,
-        strategies,
+        args.strategies or list(Strategy),
         generator=generator,
         cluster_config=_cluster_config(args),
         params=_solver_params(args),
@@ -300,10 +301,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run the strategy comparison grid")
     p_bench.add_argument("--out", required=True, help="CSV output path")
     p_bench.add_argument("--sizes", type=_waypoint_counts, default=None, help="comma-separated waypoint counts")
-    p_bench.add_argument("--reps", type=lambda text: _positive_int(text, "repetitions must be a positive integer"))
-    p_bench.add_argument("--strategies", default=None, help="comma-separated subset of strategies")
+    p_bench.add_argument("--reps", type=lambda text: _int_at_least(text, 1, "repetitions must be a positive integer"))
+    p_bench.add_argument("--strategies", type=_strategies, default=None, help="comma-separated subset of strategies")
     p_bench.add_argument("--full", action="store_true", help="500..5000 step 500, 15 repetitions")
-    p_bench.add_argument("--seed", type=int, default=None, help="base seed for the grid")
+    p_bench.add_argument(
+        "--seed", type=lambda text: _int_at_least(text, 0, "seed must be a non-negative integer"), help="base seed for the grid"
+    )
     p_bench.add_argument("--windows", choices=[w.value for w in WindowStyle])
     p_bench.add_argument("--capacity", type=int, default=None)
     p_bench.add_argument("--demand-max", type=int, default=None)

@@ -393,23 +393,44 @@ def instance_to_dict(instance: ProblemInstance) -> dict:
     }
 
 
+def _whole(value, field: str) -> int:
+    """A document's integer field: an int, or a float with no fraction.
+    Anything else, bools included, raises ValueError naming `field`."""
+    if type(value) is int:  # what JSON integers load as: one test, no conversion
+        return value
+    if type(value) is float and value.is_integer():
+        return int(value)
+    raise ValueError(f"{field} must be a whole number, got {value!r}")
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
+    """Rebuild an instance from its exported form.  An integer field takes
+    an int or a float with no fraction; an error names the waypoint by its
+    1-based position."""
     try:
+        depot_window = data["depot"]["window"]
         depot = Depot(
             GeoPoint(float(data["depot"]["lat"]), float(data["depot"]["lon"])),
-            TimeWindow(int(data["depot"]["window"][0]), int(data["depot"]["window"][1])),
+            TimeWindow(_whole(depot_window[0], "depot window"), _whole(depot_window[1], "depot window")),
         )
-        waypoints = tuple(
-            Waypoint(
-                id=int(w["id"]),
-                location=GeoPoint(float(w["lat"]), float(w["lon"])),
-                demand=int(w["demand"]),
-                window=TimeWindow(int(w["window"][0]), int(w["window"][1])),
-                service_duration=int(w.get("service", 0)),
-            )
-            for w in data["waypoints"]
+        waypoints = []
+        for k, w in enumerate(data["waypoints"], start=1):
+            try:
+                waypoints.append(
+                    Waypoint(
+                        id=_whole(w["id"], "id"),
+                        location=GeoPoint(float(w["lat"]), float(w["lon"])),
+                        demand=_whole(w["demand"], "demand"),
+                        window=TimeWindow(_whole(w["window"][0], "window"), _whole(w["window"][1], "window")),
+                        service_duration=_whole(w.get("service", 0), "service"),
+                    )
+                )
+            except ValueError as exc:
+                raise InvalidInstanceError(f"waypoint {k}: {exc}") from exc
+        vehicles = tuple(
+            Vehicle(_whole(v["id"], "vehicle id"), _whole(v["capacity"], "vehicle capacity"))
+            for v in data["vehicles"]
         )
-        vehicles = tuple(Vehicle(int(v["id"]), int(v["capacity"])) for v in data["vehicles"])
         travel = TravelModel(float(data["travel"]["speed_mps"]))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInstanceError):
@@ -446,13 +467,14 @@ def plan_from_dict(data: dict, instance: ProblemInstance) -> RoutePlan:
     """Rebuild a plan from its exported form.
 
     Departure times are not exported; they are recomputed from the stated
-    arrivals and the instance's windows and service durations.
+    arrivals and the instance's windows and service durations.  A stop or
+    vehicle id that is not a whole number raises ValueError.
     """
     routes = []
     for r in data["routes"]:
         stops = []
         for s in r["stops"]:
-            wp_id = int(s["id"])
+            wp_id = _whole(s["id"], "stop id")
             arrival = float(s["arrival"])
             if 1 <= wp_id <= instance.n_waypoints:
                 wp = instance.waypoint(wp_id)
@@ -460,7 +482,7 @@ def plan_from_dict(data: dict, instance: ProblemInstance) -> RoutePlan:
             else:
                 departure = arrival
             stops.append(StopVisit(wp_id, arrival, departure))
-        routes.append(Route(int(r["vehicle"]), float(r["pickup_time"]), tuple(stops)))
+        routes.append(Route(_whole(r["vehicle"], "vehicle id"), float(r["pickup_time"]), tuple(stops)))
     return RoutePlan(tuple(routes))
 
 

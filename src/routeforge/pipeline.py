@@ -4,6 +4,9 @@ Every strategy runs one loop: one sub-instance per group of waypoints, solved
 in order against the shrinking pool of still-free vehicles.  MONOLITHIC is one
 group of every waypoint.  A clustered strategy carves density clusters, larger
 ones first so they see the widest vehicle choice; the order is deterministic.
+A sub-solve answers in the instance's own waypoint ids, and its vehicle ids
+are positions among the capacities it was given, so the loop only hands the
+free vehicle at each position to its route.
 
 The sub-solves run ahead of that order on every usable CPU, each against the
 whole fleet.  A sub-solve sees the fleet only through the capacities of the
@@ -31,7 +34,7 @@ import os
 import time
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .clusterer import (
     ClusterConfig,
@@ -48,6 +51,7 @@ from .model import (
     Route,
     RoutePlan,
     StopVisit,
+    Vehicle,
     evaluate_objective,
     validate_solution,
 )
@@ -71,30 +75,34 @@ class PipelineResult:
 
 
 def _sub_solve(
-    instance: ProblemInstance, members: list[int], vehicle_ids: list[int], params: SolverParams
+    instance: ProblemInstance, members: list[int], capacities: list[int], params: SolverParams
 ) -> _SubSolve:
-    """Solve one cluster against the given vehicles as a dense-id instance:
-    ids 1.. go to the sorted members and to the sorted vehicles.  A waypoint
-    or vehicle whose id does not change is the instance's own object.
-    Members whose demand exceeds every given capacity make the cluster
-    infeasible; the sub-instance would reject them as invalid."""
+    """Solve one cluster against vehicles of the given capacities, in order.
+
+    The only code that knows the sub-instance numbering, ids 1.. for the
+    sorted members and for the vehicles: the outcome names the instance's
+    waypoint ids, and its vehicle ids are 1-based positions in `capacities`.
+    Members whose demand exceeds every capacity make the cluster infeasible;
+    the sub-instance would reject them as invalid."""
     ordered = [instance.waypoints[idx] for idx in sorted(members)]
-    largest = max(instance.vehicle(v).capacity for v in vehicle_ids)
-    oversized = tuple(new_id for new_id, w in enumerate(ordered, start=1) if w.demand > largest)
+    largest = max(capacities)
+    oversized = tuple(w.id for w in ordered if w.demand > largest)
     if oversized:
         return InfeasibleError(oversized)
     waypoints = tuple(
         w if w.id == new_id else replace(w, id=new_id) for new_id, w in enumerate(ordered, start=1)
     )
-    vehicles = tuple(
-        v if v.id == new_id else replace(v, id=new_id)
-        for new_id, v in enumerate(map(instance.vehicle, sorted(vehicle_ids)), start=1)
-    )
+    vehicles = tuple(Vehicle(new_id, capacity) for new_id, capacity in enumerate(capacities, start=1))
     sub = ProblemInstance(instance.depot, waypoints, vehicles, instance.travel)
     try:
-        return solve_cvrptw(sub, params)
+        plan = solve_cvrptw(sub, params)
     except InfeasibleError as exc:
-        return exc
+        return InfeasibleError(tuple(ordered[w - 1].id for w in exc.unassigned))
+    routes = []
+    for route in plan.routes:
+        stops = (StopVisit(ordered[s.waypoint_id - 1].id, s.arrival_time, s.departure_time) for s in route.stops)
+        routes.append(Route(route.vehicle_id, route.depot_pickup_time, tuple(stops)))
+    return RoutePlan(tuple(routes))
 
 
 # A sub-solve's plan, or why it was infeasible.
@@ -109,7 +117,7 @@ def _presolve(
 ) -> list[_SubSolve]:
     """Every cluster's outcome against the whole fleet, from `workers`
     forked children; see the module docstring."""
-    fleet = [v.id for v in instance.vehicles]
+    capacities = [v.capacity for v in instance.vehicles]
     source, feed = multiprocessing.Pipe(duplex=False)
 
     def drain() -> list[tuple[int, _SubSolve]]:
@@ -120,7 +128,7 @@ def _presolve(
         outcomes = []
         while record := os.read(source.fileno(), _INDEX_BYTES):
             index = int.from_bytes(record, "little")
-            outcomes.append((index, _sub_solve(instance, members[index], fleet, params)))
+            outcomes.append((index, _sub_solve(instance, members[index], capacities, params)))
         return outcomes
 
     def write_tasks() -> None:
@@ -161,66 +169,45 @@ def optimise_clusters(
 def _solve_in_order(
     instance: ProblemInstance, members: list[list[int]], params: SolverParams
 ) -> RoutePlan:
-    """Solve each list of waypoint indices, in order, against the shared pool.
+    """The in-order loop: solve each list of waypoint indices, in order,
+    against the shared pool, and hand the free vehicles out to its routes.
 
     With more than one usable CPU and more than one list, the lists are
     pre-solved in forked children first; see the module docstring for why
     the plan does not depend on it.  One list is solved in process, where
     the matrix fill (geo.pairwise_meters) uses the usable CPUs instead.
+    A pre-solved outcome is kept when the vehicles it depends on (1..max
+    busy, or the whole fleet for an infeasible solve) are matched in
+    capacity by the first free vehicles; otherwise the list is solved here.
     """
     workers = min(usable_cpus(), len(members))
-    if workers <= 1 or not may_fork():
-        return _assign_vehicles(instance, members, params, itertools.repeat(None))
-    return _assign_vehicles(instance, members, params, iter(_presolve(instance, members, params, workers)))
-
-
-def _assign_vehicles(
-    instance: ProblemInstance,
-    members: list[list[int]],
-    params: SolverParams,
-    presolved: Iterator[Optional[_SubSolve]],
-) -> RoutePlan:
-    """The in-order loop: the only place that turns sub-solves into routes,
-    vehicles taken from the pool, or an error.
-
-    `presolved` yields, per cluster, its outcome against the whole fleet or
-    None.  An outcome is kept when the vehicles it depends on (1..max busy,
-    or the whole fleet for an infeasible solve) are matched in capacity by
-    the first free vehicles; otherwise the cluster is solved here.
-    """
+    if workers > 1 and may_fork():
+        presolved = _presolve(instance, members, params, workers)
+    else:
+        presolved = [None] * len(members)
     fleet_capacities = [v.capacity for v in instance.vehicles]
     free = [v.id for v in instance.vehicles]
     routes: list[Route] = []
-    for cluster_members in members:
+    for cluster_members, outcome in zip(members, presolved):
         size = len(cluster_members)
         if not free:
             raise NoSolutionFoundError(f"vehicle pool exhausted before cluster of size {size}")
-        outcome = next(presolved)
+        capacities = [fleet_capacities[v - 1] for v in free]
         if outcome is not None:
             if isinstance(outcome, InfeasibleError):
                 used = len(fleet_capacities)
             else:
                 used = max(outcome.busy_vehicles, default=0)
-            if [instance.vehicle(v).capacity for v in free[:used]] != fleet_capacities[:used]:
+            if capacities[:used] != fleet_capacities[:used]:
                 outcome = None
         if outcome is None:
-            outcome = _sub_solve(instance, cluster_members, free, params)
-        # original ids by sub-instance id - 1, as _sub_solve numbers them
-        wp_back = [instance.waypoints[i].id for i in sorted(cluster_members)]
+            outcome = _sub_solve(instance, cluster_members, capacities, params)
         if isinstance(outcome, InfeasibleError):
-            unassigned = InfeasibleError(tuple(wp_back[w - 1] for w in outcome.unassigned))
-            raise NoSolutionFoundError(
-                f"sub-solve infeasible for cluster of size {size}: {unassigned}"
-            ) from outcome
-        veh_back = sorted(free)
-        for sub_route in outcome.routes:
-            stops = tuple(
-                StopVisit(wp_back[s.waypoint_id - 1], s.arrival_time, s.departure_time)
-                for s in sub_route.stops
-            )
-            routes.append(Route(veh_back[sub_route.vehicle_id - 1], sub_route.depot_pickup_time, stops))
-        busy_original = {veh_back[b - 1] for b in outcome.busy_vehicles}
-        free = [v for v in free if v not in busy_original]
+            raise NoSolutionFoundError(f"sub-solve infeasible for cluster of size {size}: {outcome}") from outcome
+        # the outcome's vehicle k is the k-th free vehicle
+        routes.extend(Route(free[r.vehicle_id - 1], r.depot_pickup_time, r.stops) for r in outcome.routes)
+        busy = {free[k - 1] for k in outcome.busy_vehicles}
+        free = [v for v in free if v not in busy]
     return RoutePlan(tuple(routes))
 
 

@@ -109,6 +109,8 @@ def test_generator_config_validation():
         GeneratorConfig(n_waypoints=10, fleet_size=0)
     with pytest.raises(ValueError):
         GeneratorConfig(n_waypoints=10, vehicle_capacity=0)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        GeneratorConfig(n_waypoints=10, seed=-1)
     with pytest.raises(ValueError, match="exceeds vehicle_capacity"):
         GeneratorConfig(n_waypoints=10, demand_range=(1, 31), vehicle_capacity=30)
     GeneratorConfig(n_waypoints=10, demand_range=(1, 30), vehicle_capacity=30)
@@ -368,6 +370,16 @@ def test_no_solution_is_timed_by_run_strategy_fenced_or_not(monkeypatch, budget)
 def test_repeated_sizes_rejected():
     with pytest.raises(ValueError, match="sizes must not repeat"):
         run_benchmark(sizes=[40, 60, 40], repetitions=1)
+
+
+def test_repeated_strategies_rejected():
+    with pytest.raises(ValueError, match="strategies must not repeat"):
+        run_benchmark(sizes=[40], repetitions=1, strategies=[Strategy.MONOLITHIC, Strategy.DBSCAN, Strategy.MONOLITHIC])
+
+
+def test_negative_base_seed_rejected():
+    with pytest.raises(ValueError, match="base_seed must be >= 0, got -1"):
+        run_benchmark(sizes=[40], repetitions=1, base_seed=-1)
 
 
 def test_benchmark_is_deterministic_apart_from_runtime():

@@ -77,6 +77,15 @@ def test_solve_accepts_every_strategy(tmp_path, strategy):
     assert validate_solution(load_plan(plan_path, instance), instance) == []
 
 
+def test_solve_seed_may_be_negative(tmp_path):
+    # solve --seed seeds the solver's tie-breaking, which takes any integer
+    inst_path = gen(tmp_path, n=20, extra=("--fleet-size", "6"))
+    plan_path = str(tmp_path / "plan.json")
+    assert main(["solve", inst_path, "--out", plan_path, "--seed", "-1", "--time-limit-ms", "100"]) == 0
+    instance = load_instance(inst_path)
+    assert validate_solution(load_plan(plan_path, instance), instance) == []
+
+
 def test_solve_reports_infeasible_fleet(tmp_path, capsys):
     inst_path = gen(tmp_path, n=40, extra=("--fleet-size", "1"))
     code = main(["solve", inst_path, "--out", str(tmp_path / "plan.json")])
@@ -157,6 +166,19 @@ def test_validate_flags_tampered_plan(tmp_path, capsys):
         json.dump(doc, fh)
     assert main(["validate", inst_path, plan_path]) == 1
     assert "MULTIPLY_VISITED" in capsys.readouterr().out
+
+
+def test_validate_rejects_an_id_that_is_not_whole(tmp_path, capsys):
+    inst_path = gen(tmp_path, n=20, extra=("--fleet-size", "5"))
+    plan_path = str(tmp_path / "plan.json")
+    assert main(["solve", inst_path, "--out", plan_path, "--time-limit-ms", "100"]) == 0
+    with open(plan_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["routes"][0]["stops"][0]["id"] += 0.7
+    with open(plan_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    assert main(["validate", inst_path, plan_path]) == 2
+    assert "stop id must be a whole number" in capsys.readouterr().err
 
 
 # --- bench ---
@@ -278,6 +300,14 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         (["generate", "--n", "100", "--demand-max", "50", "--capacity", "30"], "exceeds vehicle_capacity 30"),
         (["bench", "--sizes", "30", "--reps", "1", "--demand-max", "50", "--capacity", "30"], "exceeds vehicle_capacity 30"),
         (["bench", "--sizes", "40,40", "--reps", "1"], "waypoint counts must not repeat, got '40,40'"),
+        (["generate", "--n", "10", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["bench", "--sizes", "10", "--seed", "-1000000"], "seed must be a non-negative integer, got '-1000000'"),
+        (["bench", "--sizes", "30", "--reps", "1", "--seed", "x"], "seed must be a non-negative integer, got 'x'"),
+        (["bench", "--sizes", "30", "--reps", "1", "--strategies", "sorcery"], "unknown strategy 'sorcery'"),
+        (
+            ["bench", "--sizes", "30", "--reps", "1", "--strategies", "monolithic,monolithic"],
+            "strategies must not repeat, got 'monolithic,monolithic'",
+        ),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):

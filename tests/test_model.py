@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 
@@ -290,6 +291,80 @@ def test_malformed_instance_rejected():
         instance_from_dict({"depot": {}})
     with pytest.raises(InvalidInstanceError):
         instance_from_dict({})
+
+
+def _set_third_waypoint(doc, field, value):
+    if field == "window_start":
+        doc["waypoints"][2]["window"][0] = value
+    elif field == "window_end":
+        doc["waypoints"][2]["window"][1] = value
+    else:
+        doc["waypoints"][2][field] = value
+
+
+@pytest.mark.parametrize(
+    "field, value, shown",
+    [
+        ("id", 3.4, "3.4"),
+        ("demand", 2.7, "2.7"),
+        ("window_start", 10.9, "10.9"),
+        ("window_end", 40000.5, "40000.5"),
+        ("service", 59.99, "59.99"),
+        ("demand", True, "True"),
+        ("demand", "2", "'2'"),
+        ("demand", None, "None"),
+        ("demand", math.inf, "inf"),
+    ],
+)
+def test_instance_field_that_is_not_whole_is_rejected(field, value, shown):
+    instance = make_instance([150.0, 400.0, 700.0], demands=[1, 2, 3], windows=[WIDE, WIDE, TimeWindow(10, 40_000)])
+    doc = instance_to_dict(instance)
+    _set_third_waypoint(doc, field, value)
+    name = "window" if field.startswith("window") else field
+    with pytest.raises(InvalidInstanceError, match=rf"^waypoint 3: {name} must be a whole number, got {re.escape(shown)}$"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("field, value", [("id", 3.0), ("demand", 3.0), ("window_start", 10.0), ("service", 0.0)])
+def test_instance_field_that_is_a_whole_float_loads_as_int(field, value):
+    instance = make_instance([150.0, 400.0, 700.0], demands=[1, 2, 3], windows=[WIDE, WIDE, TimeWindow(10, 40_000)])
+    doc = instance_to_dict(instance)
+    _set_third_waypoint(doc, field, value)
+    loaded = instance_from_dict(doc)
+    assert loaded == instance
+    assert type(loaded.waypoints[2].demand) is int and type(loaded.waypoints[2].window.earliest) is int
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [("vehicle", 1.5), ("capacity", 30.5), ("depot_window", 0.5)],
+)
+def test_fleet_or_depot_field_that_is_not_whole_is_rejected(where, value):
+    doc = instance_to_dict(make_instance([150.0, 400.0]))
+    if where == "vehicle":
+        doc["vehicles"][0]["id"] = value
+    elif where == "capacity":
+        doc["vehicles"][0]["capacity"] = value
+    else:
+        doc["depot"]["window"][0] = value
+    with pytest.raises(InvalidInstanceError, match=rf"must be a whole number, got {value}$"):
+        instance_from_dict(doc)
+
+
+@pytest.mark.parametrize("key, value", [("stop", 3.7), ("stop", False), ("vehicle", 1.5), ("vehicle", "1")])
+def test_plan_id_that_is_not_whole_is_rejected(key, value):
+    instance, plan = _two_route_instance()
+    doc = plan_to_dict(plan)
+    if key == "stop":
+        doc["routes"][1]["stops"][0]["id"] = value
+    else:
+        doc["routes"][0]["vehicle"] = value
+    with pytest.raises(ValueError, match=rf"^{key} id must be a whole number, got {re.escape(repr(value))}$"):
+        plan_from_dict(doc, instance)
+    doc = plan_to_dict(plan)
+    doc["routes"][1]["stops"][0]["id"] = 3.0
+    doc["routes"][0]["vehicle"] = 1.0
+    assert [r.stop_ids for r in plan_from_dict(doc, instance).routes] == [(1, 2), (3, 4)]
 
 
 def test_plan_round_trip(tmp_path):

@@ -36,7 +36,7 @@ from routeforge.pipeline import (
     optimise_clusters,
     run_strategy,
 )
-from routeforge.solver import SolverParams, solve_cvrptw
+from routeforge.solver import InfeasibleError, SolverParams, solve_cvrptw
 
 EQUATOR_DEGREE_M = 111_195.0802335329
 WIDE = TimeWindow(0, 500_000)
@@ -309,6 +309,22 @@ def test_infeasible_cluster_lists_its_own_waypoint_ids(monkeypatch):
     listed = [int(w) for w in serial.rsplit("[", 1)[1].rstrip("]").split(", ")]
     assert len(listed) == 6
     assert set(listed) <= set(range(15, 31))
+
+
+def test_sub_solve_answers_in_instance_ids_and_capacity_positions():
+    at = lambda k: GeoPoint(22.3, 114.0 + 0.001 * k)
+    waypoints = tuple(Waypoint(k, at(k), 4, WIDE) for k in range(1, 9))
+    instance = ProblemInstance(Depot(at(0), WIDE), waypoints, (Vehicle(1, 30),), TravelModel(10.0))
+    members = [6, 1, 4]  # waypoints 7, 2 and 5: 12 units of demand
+    plan = pipeline._sub_solve(instance, members, [8, 4], SolverParams())
+    assert sorted(s.waypoint_id for r in plan.routes for s in r.stops) == [2, 5, 7]
+    assert plan.busy_vehicles == {1, 2}
+    assert sorted(sum(instance.waypoint(i).demand for i in r.stop_ids) for r in plan.routes) == [4, 8]
+    short = pipeline._sub_solve(instance, members, [4], SolverParams())
+    assert isinstance(short, InfeasibleError)
+    assert len(short.unassigned) == 2 and set(short.unassigned) < {2, 5, 7}
+    oversized = pipeline._sub_solve(instance, members, [3, 3], SolverParams())
+    assert oversized.unassigned == (2, 5, 7)
 
 
 def test_demand_beyond_the_free_pool_is_infeasible_not_invalid(monkeypatch):

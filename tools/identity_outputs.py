@@ -19,7 +19,14 @@ One more case, n1200_s4_fleet30-24-36, solves the wide-window instance of
 N = 1200 and seed 4 with vehicle capacities that cycle 30, 24, 36 by vehicle
 id.  Its later clusters find another capacity order among the free vehicles,
 so the solve throws some pre-solved plans away and solves those clusters
-again in order.  Last, it writes
+again in order.  The case n1000_s0_fleet84 generates N = 1000 and seed 0
+with 84 vehicles: the monolithic solve uses 83 of them, and each clustered
+strategy meets a cluster that its free vehicles cannot serve, so for those
+it writes
+
+    OUT_DIR/{case}/error_{strategy}.txt  the "no solution:" line of routeforge solve
+
+which shows the waypoint ids the error names.  Last, it writes
 
     OUT_DIR/bench.csv                  routeforge bench --sizes 300,200 --reps 2
     OUT_DIR/bench_unfenced.csv         the same with --no-budget
@@ -69,22 +76,30 @@ CASES = ((500, "wide"), (1500, "wide"), (3000, "wide"), (5000, "wide"), (2000, "
 STRATEGIES = ("monolithic", "dbscan", "recursive-dbscan")
 # (size, seed, capacities by vehicle id modulo their count)
 MIXED_FLEET = (1200, 4, (30, 24, 36))
+# (size, seed, fleet size): enough vehicles for one solve of every waypoint,
+# too few for the clustered strategies
+SHORT_FLEET = (1000, 0, 84)
 
 
-def _run(cli, argv: list[str]) -> None:
+def _run(cli, argv: list[str], codes: tuple[int, ...] = (0,)) -> tuple[int, str]:
+    """Run one command; an exit code not in `codes` ends the script.
+    Returns the exit code and what the command wrote to stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    if code != 0:
+    if code not in codes:
         raise SystemExit(f"routeforge {' '.join(argv)} exited {code}: {err.getvalue().strip()}")
+    return code, err.getvalue()
 
 
-def _case(cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int, ...] = ()) -> None:
+def _case(
+    cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int, ...] = (), flags: tuple[str, ...] = ()
+) -> None:
     from routeforge import load_instance, save_instance
 
     os.makedirs(out, exist_ok=True)
     instance = os.path.join(out, "instance.json")
-    _run(cli, ["generate", "--n", str(n), "--seed", str(seed), "--windows", windows, "--out", instance])
+    _run(cli, ["generate", "--n", str(n), "--seed", str(seed), "--windows", windows, *flags, "--out", instance])
     if capacities:
         generated = load_instance(instance)
         fleet = tuple(replace(v, capacity=capacities[v.id % len(capacities)]) for v in generated.vehicles)
@@ -93,7 +108,10 @@ def _case(cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int,
     _run(cli, ["cluster", instance, "--flat", "--out", os.path.join(out, "clusters_flat.json")])
     for strategy in STRATEGIES:
         plan = os.path.join(out, f"plan_{strategy}.json")
-        _run(cli, ["solve", instance, "--strategy", strategy, "--out", plan])
+        code, err = _run(cli, ["solve", instance, "--strategy", strategy, "--out", plan], codes=(0, 1))
+        if code == 1:  # the one "no solution:" line, which names no wall time
+            with open(os.path.join(out, f"error_{strategy}.txt"), "w", encoding="utf-8") as fh:
+                fh.write(err)
     print(f"{os.path.basename(out)} done", file=sys.stderr)
 
 
@@ -176,6 +194,9 @@ def main(argv: list[str]) -> int:
     n, seed, capacities = MIXED_FLEET
     fleet = "-".join(map(str, capacities))
     _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_fleet{fleet}"), n, seed, "wide", capacities)
+    n, seed, fleet_size = SHORT_FLEET
+    flags = ("--fleet-size", str(fleet_size))
+    _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_fleet{fleet_size}"), n, seed, "wide", flags=flags)
     _bench(cli, argv[0], "bench.csv")
     _bench(cli, argv[0], "bench_unfenced.csv", ("--no-budget",))
     return 0
