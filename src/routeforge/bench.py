@@ -285,8 +285,12 @@ def run_benchmark(
     n_waypoints and seed fields are overridden per cell.  A run that finds
     no plan is a NO_SOLUTION record, a MemoryError or a breached `budget` a
     CRASHED_BUDGET record; any other exception propagates, fenced or not.
-    Repeated sizes or strategies and a negative base seed raise ValueError.
+    An empty grid, repeated sizes or strategies, an unknown strategy value
+    and a negative base seed raise ValueError.
     """
+    strategies = [Strategy(s) for s in strategies]
+    if not sizes or not strategies or repetitions < 1:
+        raise ValueError(f"empty grid: {len(sizes)} sizes, {len(strategies)} strategies, {repetitions} repetitions")
     if len(set(sizes)) != len(sizes):
         raise ValueError(f"sizes must not repeat, got {list(sizes)}")
     if len(set(strategies)) != len(strategies):

@@ -105,14 +105,9 @@ def _given(**values) -> dict:
 
 
 def _cluster_config(args) -> Optional[ClusterConfig]:
-    names = ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size", "min_no_clusters")
+    names = ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size")
     given = _given(**{name: getattr(args, name) for name in names})
-    if not given:
-        return None
-    config = _config(ClusterConfig, **given)
-    if config.min_radius > config.max_radius:
-        raise _UsageError(f"bad option value: min_radius {config.min_radius} exceeds max_radius {config.max_radius}")
-    return config
+    return _config(ClusterConfig, **given) if given else None
 
 
 def _solver_params(args, rng_seed: Optional[int] = None) -> Optional[SolverParams]:
@@ -121,7 +116,6 @@ def _solver_params(args, rng_seed: Optional[int] = None) -> Optional[SolverParam
     given = _given(
         time_limit_ms=args.time_limit_ms,
         optimization_step=args.optimization_step,
-        solution_limit=args.solution_limit,
         rng_seed=rng_seed,
     )
     return _config(SolverParams, **given) if given else None
@@ -140,7 +134,6 @@ def _generator_flags(args) -> dict:
 def _add_solver_flags(parser) -> None:
     parser.add_argument("--time-limit-ms", type=int, default=None, help="search budget per solve")
     parser.add_argument("--optimization-step", type=float, default=None, help="minimum accepted improvement, meters")
-    parser.add_argument("--solution-limit", type=int, default=None, help="stop after this many accepted improvements")
 
 
 def _add_cluster_flags(parser) -> None:
@@ -148,7 +141,6 @@ def _add_cluster_flags(parser) -> None:
     parser.add_argument("--max-radius", type=int, default=None, help="radius search upper bound, meters")
     parser.add_argument("--max-cluster-size", type=int, default=None, help="hard per-cluster size cap")
     parser.add_argument("--min-cluster-size", type=int, default=None, help="clusters smaller than this get merged")
-    parser.add_argument("--min-no-clusters", type=int, default=None, help="minimum cluster count for the radius search")
 
 
 def _cmd_generate(args) -> int:

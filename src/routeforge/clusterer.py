@@ -14,7 +14,7 @@ inside one oversized cluster and cuts it once the same way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Sequence
 
@@ -56,17 +56,16 @@ class ClusterConfig:
     max_radius: int = 10_000
     max_cluster_size: int = 500
     min_cluster_size: int = 35
-    min_no_clusters: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.min_radius < 0:
             raise ValueError("min_radius must be non-negative")
+        if self.min_radius > self.max_radius:
+            raise ValueError(f"min_radius {self.min_radius} exceeds max_radius {self.max_radius}")
         if self.max_cluster_size < 1:
             raise ValueError("max_cluster_size must be at least 1")
         if self.min_cluster_size < 0:
             raise ValueError("min_cluster_size must be non-negative")
-        if self.min_no_clusters is not None and self.min_no_clusters < 1:
-            raise ValueError("min_no_clusters must be at least 1 when given")
 
 
 @dataclass(frozen=True)
@@ -112,15 +111,10 @@ def _make_cluster(
     return Cluster(members, _centroid(points, members), radius, depth)
 
 
-def _resolved_min_clusters(config: ClusterConfig, n: int) -> int:
-    if config.min_no_clusters is not None:
-        return config.min_no_clusters
-    return max(1, math.ceil(n / config.max_cluster_size))
-
-
-def _best_radius(tree: SpanningTree, config: ClusterConfig, feasibility: Feasibility) -> int:
-    """The integer radius with the best feasible clustering of the tree's
-    points.
+def _best_radius(tree: SpanningTree, config: ClusterConfig, feasibility: Feasibility, max_radius: int) -> int:
+    """The integer radius in [config.min_radius, max_radius] with the best
+    feasible clustering of the tree's n points; MIN_CLUSTER_COUNT asks for
+    at least ceil(n / max_cluster_size) clusters.
 
     Probes the midpoint radius, grows the range on feasible probes and
     shrinks it otherwise, keeping the feasible probe with the largest average
@@ -129,10 +123,10 @@ def _best_radius(tree: SpanningTree, config: ClusterConfig, feasibility: Feasibi
     NoSolutionFoundError when no probe is feasible.
     """
     n = tree.n
-    min_no = _resolved_min_clusters(config, n)
+    min_no = max(1, math.ceil(n / config.max_cluster_size))
     peaks = tree.peak_sizes() if feasibility is Feasibility.MAX_SIZE_CAP else None
 
-    lo, hi = config.min_radius, config.max_radius
+    lo, hi = config.min_radius, max_radius
     best: Optional[tuple[float, int]] = None
     while lo <= hi:
         mid = (lo + hi) // 2
@@ -152,7 +146,7 @@ def _best_radius(tree: SpanningTree, config: ClusterConfig, feasibility: Feasibi
 
     if best is None:
         raise NoSolutionFoundError(
-            f"no radius in [{config.min_radius}, {config.max_radius}] m satisfies "
+            f"no radius in [{config.min_radius}, {max_radius}] m satisfies "
             f"{feasibility.value} over {n} points"
         )
     return best[1]
@@ -168,10 +162,11 @@ def binary_search_clusters(
 
     The radius search probes the points' spanning tree, and only the
     winning radius is cut into clusters.  Raises NoSolutionFoundError when
-    no probe is feasible.
+    no probe is feasible, and ValueError for an unknown feasibility value.
     """
+    feasibility = Feasibility(feasibility)
     tree = spanning_tree(points)
-    radius = _best_radius(tree, config, feasibility)
+    radius = _best_radius(tree, config, feasibility, config.max_radius)
     clusters = tuple(
         _make_cluster(points, members, radius, 0)
         for members in dbscan(points, float(radius), tree=tree)
@@ -183,15 +178,19 @@ def _recurse(
     points: Sequence[GeoPoint],
     indices: list[int],
     config: ClusterConfig,
+    max_radius: int,
     tree: SpanningTree,
     depth: int,
     out: list[Cluster],
 ) -> None:
+    """Cut the tree of `indices` at its best MIN_CLUSTER_COUNT radius up to
+    `max_radius`; append the clusters within the cap to `out` and recurse
+    into the others."""
     if depth > RECURSION_LIMIT:
         raise RecursionLimitError(
             f"decomposition exceeded depth {RECURSION_LIMIT}; input looks degenerate"
         )
-    radius = _best_radius(tree, config, Feasibility.MIN_CLUSTER_COUNT)
+    radius = _best_radius(tree, config, Feasibility.MIN_CLUSTER_COUNT, max_radius)
     # The cut goes through dbscan() rather than tree.cut() because
     # perfbench/tracer.py counts the dbscan() calls as probes.
     for members in dbscan([points[i] for i in indices], float(radius), tree=tree):
@@ -201,12 +200,7 @@ def _recurse(
             continue
         # An oversized cluster is re-clustered on a strictly smaller radius
         # range so the recursion always makes progress.
-        child_config = replace(
-            config,
-            max_radius=radius - 1,
-            min_no_clusters=math.ceil(len(members) / config.max_cluster_size),
-        )
-        _recurse(points, original, child_config, tree.subtree(members), depth + 1, out)
+        _recurse(points, original, config, radius - 1, tree.subtree(members), depth + 1, out)
 
 
 def _merge_small_clusters(
@@ -252,14 +246,14 @@ def _merge_small_clusters(
 def recursive_dbscan(points: Sequence[GeoPoint], config: ClusterConfig) -> ClusterSet:
     """Decompose a point set into clusters no larger than the configured cap.
 
-    Runs the radius search for at least the configured number of clusters,
-    then re-clusters every oversized cluster on a tighter radius range until
-    all clusters respect the cap.  Undersized clusters are merged into their
-    nearest neighbors afterwards where the cap allows.
+    Runs the radius search for at least ceil(n / max_cluster_size) clusters,
+    then re-clusters every oversized cluster the same way on a tighter radius
+    range until all clusters respect the cap.  Undersized clusters are merged
+    into their nearest neighbors afterwards where the cap allows.
     """
     n = len(points)
     found: list[Cluster] = []
-    _recurse(points, list(range(n)), config, spanning_tree(points), 0, found)
+    _recurse(points, list(range(n)), config, config.max_radius, spanning_tree(points), 0, found)
     found = _merge_small_clusters(points, found, config)
     found.sort(key=lambda c: c.members[0])
     return ClusterSet(tuple(found))

@@ -403,14 +403,24 @@ def _whole(value, field: str) -> int:
     raise ValueError(f"{field} must be a whole number, got {value!r}")
 
 
+def _real(value, field: str) -> float:
+    """A document's real-number field: an int or a float.  Anything else,
+    bools, strings and null included, raises ValueError naming `field`."""
+    if type(value) is float:  # what JSON reals load as: one test, no conversion
+        return value
+    if type(value) is int:
+        return float(value)
+    raise ValueError(f"{field} must be a number, got {value!r}")
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
     """Rebuild an instance from its exported form.  An integer field takes
-    an int or a float with no fraction; an error names the waypoint by its
-    1-based position."""
+    an int or a float with no fraction, a real one an int or a float; an
+    error names the waypoint by its 1-based position."""
     try:
         depot_window = data["depot"]["window"]
         depot = Depot(
-            GeoPoint(float(data["depot"]["lat"]), float(data["depot"]["lon"])),
+            GeoPoint(_real(data["depot"]["lat"], "depot lat"), _real(data["depot"]["lon"], "depot lon")),
             TimeWindow(_whole(depot_window[0], "depot window"), _whole(depot_window[1], "depot window")),
         )
         waypoints = []
@@ -419,7 +429,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
                 waypoints.append(
                     Waypoint(
                         id=_whole(w["id"], "id"),
-                        location=GeoPoint(float(w["lat"]), float(w["lon"])),
+                        location=GeoPoint(_real(w["lat"], "lat"), _real(w["lon"], "lon")),
                         demand=_whole(w["demand"], "demand"),
                         window=TimeWindow(_whole(w["window"][0], "window"), _whole(w["window"][1], "window")),
                         service_duration=_whole(w.get("service", 0), "service"),
@@ -431,7 +441,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
             Vehicle(_whole(v["id"], "vehicle id"), _whole(v["capacity"], "vehicle capacity"))
             for v in data["vehicles"]
         )
-        travel = TravelModel(float(data["travel"]["speed_mps"]))
+        travel = TravelModel(_real(data["travel"]["speed_mps"], "speed_mps"))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, InvalidInstanceError):
             raise
@@ -468,21 +478,22 @@ def plan_from_dict(data: dict, instance: ProblemInstance) -> RoutePlan:
 
     Departure times are not exported; they are recomputed from the stated
     arrivals and the instance's windows and service durations.  A stop or
-    vehicle id that is not a whole number raises ValueError.
+    vehicle id that is not a whole number, or an arrival or pickup time that
+    is not a number, raises ValueError.
     """
     routes = []
     for r in data["routes"]:
         stops = []
         for s in r["stops"]:
             wp_id = _whole(s["id"], "stop id")
-            arrival = float(s["arrival"])
+            arrival = _real(s["arrival"], "arrival")
             if 1 <= wp_id <= instance.n_waypoints:
                 wp = instance.waypoint(wp_id)
                 departure = max(arrival, float(wp.window.earliest)) + wp.service_duration
             else:
                 departure = arrival
             stops.append(StopVisit(wp_id, arrival, departure))
-        routes.append(Route(_whole(r["vehicle"], "vehicle id"), float(r["pickup_time"]), tuple(stops)))
+        routes.append(Route(_whole(r["vehicle"], "vehicle id"), _real(r["pickup_time"], "pickup_time"), tuple(stops)))
     return RoutePlan(tuple(routes))
 
 

@@ -223,8 +223,10 @@ def run_strategy(
     Wall time covers clustering and routing together.  Every failure is a
     NoSolutionFoundError carrying the elapsed wall time.  The returned plan
     always passes the solution validator: this is the one validation of a
-    solve, made on the plan merged over every cluster.
+    solve, made on the plan merged over every cluster.  A strategy given
+    by value runs the strategy it names; an unknown one raises ValueError.
     """
+    strategy = Strategy(strategy)
     cluster_config = cluster_config or ClusterConfig()
     params = params or SolverParams()
     started = time.perf_counter()

@@ -88,18 +88,15 @@ class InfeasibleError(Exception):
         return InfeasibleError, (self.unassigned,)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SolverParams:
     optimization_step: float = 1.0
-    solution_limit: int = 9_223_372_036_854_775_807
     time_limit_ms: int = 5000
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.optimization_step >= 0:
             raise ValueError("optimization_step must be non-negative")
-        if self.solution_limit < 0:
-            raise ValueError("solution_limit must be non-negative")
         if self.time_limit_ms < 0:
             raise ValueError("time_limit_ms must be non-negative")
 
@@ -337,7 +334,8 @@ def local_search(
     relocate and inter-route swap.  A move is accepted only when it keeps the
     plan feasible and cuts the travelled distance by at least
     optimization_step meters, and never by less than MIN_GAIN_M.  Terminates
-    at a local optimum or when the budget runs out, whichever comes first.
+    at a local optimum or after time_limit_ms * EVALS_PER_MS move
+    evaluations, whichever comes first.
 
     A rejected evaluation is only cell reads and float arithmetic: stop
     positions come from a table that is rebuilt only for the routes an
@@ -412,10 +410,9 @@ def local_search(
     # A move is accepted only when its delta is at most this.
     max_delta = -max(params.optimization_step, MIN_GAIN_M)
     quota = params.time_limit_ms * EVALS_PER_MS
-    limit = params.solution_limit
     evals = 0
     accepted = 0
-    out_of_budget = limit == 0 or quota == 0
+    out_of_budget = quota == 0
 
     # The scan starts at a seed-dependent offset; everything after that is a
     # fixed deterministic order.
@@ -430,9 +427,6 @@ def local_search(
     while queue and not out_of_budget:
         u = queue.popleft()
         queued[u] = False
-        # The budget is checked before each neighbor.  No move is accepted
-        # during one scan, so a spent solution_limit is a cap of 0.
-        cap = quota if accepted < limit else 0
         r1 = route_of[u]
         stops1 = r1.stops
         last1 = len(stops1) - 1
@@ -447,7 +441,7 @@ def local_search(
         demand_u = demand[u]
         touched = None
         for v in neighbors[u]:
-            if evals >= cap:
+            if evals >= quota:
                 out_of_budget = True
                 break
             r2 = route_of[v]

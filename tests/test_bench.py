@@ -370,11 +370,32 @@ def test_no_solution_is_timed_by_run_strategy_fenced_or_not(monkeypatch, budget)
 def test_repeated_sizes_rejected():
     with pytest.raises(ValueError, match="sizes must not repeat"):
         run_benchmark(sizes=[40, 60, 40], repetitions=1)
+    with pytest.raises(ValueError, match=r"^empty grid: 0 sizes, 3 strategies, 1 repetitions$"):
+        run_benchmark(sizes=(), repetitions=1)
+    for repetitions in (0, -1):
+        with pytest.raises(ValueError, match=rf"^empty grid: 1 sizes, 3 strategies, {repetitions} repetitions$"):
+            run_benchmark(sizes=[40], repetitions=repetitions)
 
 
 def test_repeated_strategies_rejected():
     with pytest.raises(ValueError, match="strategies must not repeat"):
         run_benchmark(sizes=[40], repetitions=1, strategies=[Strategy.MONOLITHIC, Strategy.DBSCAN, Strategy.MONOLITHIC])
+    with pytest.raises(ValueError, match=r"strategies must not repeat, got \['DBSCAN', 'DBSCAN'\]"):
+        run_benchmark(sizes=[40], repetitions=1, strategies=["DBSCAN", Strategy.DBSCAN])
+    with pytest.raises(ValueError, match=r"^empty grid: 1 sizes, 0 strategies, 1 repetitions$"):
+        run_benchmark(sizes=[40], repetitions=1, strategies=())
+    with pytest.raises(ValueError, match="'bogus' is not a valid Strategy"):
+        run_benchmark(sizes=[40], repetitions=1, strategies=["bogus"])
+
+
+def test_strategies_given_by_value_run_the_strategies_they_name():
+    # at n = 400 the clustered plan differs from the monolithic one
+    records = run_benchmark(sizes=[400], repetitions=1, strategies=["MONOLITHIC", Strategy.RECURSIVE_DBSCAN], params=FAST)
+    assert [r.strategy for r in records] == [Strategy.MONOLITHIC, Strategy.RECURSIVE_DBSCAN]
+    assert all(type(r.strategy) is Strategy for r in records)
+    (monolithic,) = run_benchmark(sizes=[400], repetitions=1, strategies=[Strategy.MONOLITHIC], params=FAST)
+    assert (records[0].distance_m, records[0].busy_vehicles) == (monolithic.distance_m, monolithic.busy_vehicles)
+    assert records[0].distance_m != records[1].distance_m
 
 
 def test_negative_base_seed_rejected():

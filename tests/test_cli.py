@@ -308,6 +308,8 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
             ["bench", "--sizes", "30", "--reps", "1", "--strategies", "monolithic,monolithic"],
             "strategies must not repeat, got 'monolithic,monolithic'",
         ),
+        (["solve", "{inst}", "--solution-limit", "5"], "unrecognized arguments: --solution-limit 5"),
+        (["cluster", "{inst}", "--min-no-clusters", "2"], "unrecognized arguments: --min-no-clusters 2"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):

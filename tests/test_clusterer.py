@@ -118,15 +118,15 @@ def test_config_validation():
         ClusterConfig(max_cluster_size=0)
     with pytest.raises(ValueError):
         ClusterConfig(min_cluster_size=-1)
-    with pytest.raises(ValueError):
-        ClusterConfig(min_no_clusters=0)
+    with pytest.raises(ValueError, match=r"^min_radius 5 exceeds max_radius 4$"):
+        ClusterConfig(min_radius=5, max_radius=4)
 
 
 def test_config_defaults():
     config = ClusterConfig()
     assert config.max_cluster_size == 500
     assert config.min_cluster_size == 35
-    assert config.min_no_clusters is None
+    assert (config.min_radius, config.max_radius) == (1, 10_000)
 
 
 # --- binary search ---
@@ -149,7 +149,7 @@ def test_single_blob_within_cap_is_one_cluster():
 def test_two_far_blobs_stay_separate_under_count_floor():
     rng = np.random.default_rng(6)
     points = blob(rng, GeoPoint(22.3, 114.0), 300) + blob(rng, GeoPoint(22.3, 114.05), 300)
-    config = ClusterConfig(min_no_clusters=2)
+    config = ClusterConfig(max_cluster_size=300)  # a count floor of 600 / 300 = 2
     cluster_set, _ = binary_search_clusters(points, config, Feasibility.MIN_CLUSTER_COUNT)
     assert sorted(cluster_set.sizes()) == [300, 300]
     # blob membership survives: each cluster is one side of the 5 km gap
@@ -181,8 +181,9 @@ def test_count_floor_search_matches_exhaustive_sweep(seed):
     rng = np.random.default_rng(900 + seed)
     n = int(rng.integers(100, 160))
     points = box_points(rng, n, 1_500.0)
-    min_no = 4
-    config = ClusterConfig(min_radius=1, max_radius=2_000, min_no_clusters=min_no)
+    cap = math.ceil(n / 4)
+    min_no = math.ceil(n / cap)
+    config = ClusterConfig(min_radius=1, max_radius=2_000, max_cluster_size=cap)
     cluster_set, radius = binary_search_clusters(points, config, Feasibility.MIN_CLUSTER_COUNT)
 
     profile = radius_profile(points, 1, 2_000)
@@ -242,6 +243,27 @@ def test_radius_zero_probe_on_oversized_coincident_blocks_has_no_solution(recurs
             binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
 
 
+def test_child_with_an_empty_radius_range_has_no_solution():
+    # five coincident points, then two more 1.5 m apart: the root's only
+    # feasible radius is 1 m, which leaves the block over the cap of 4 with
+    # the radius range [1, 0] m
+    points = [east(0)] * 5 + [east(1.5), east(3.0)]
+    config = ClusterConfig(max_cluster_size=4)
+    with pytest.raises(NoSolutionFoundError, match=r"^no radius in \[1, 0\] m satisfies MIN_CLUSTER_COUNT over 5 points$"):
+        recursive_dbscan(points, config)
+
+
+def test_feasibility_given_by_value_runs_the_rule_it_names():
+    instance = generate_instance(GeneratorConfig(n_waypoints=1_200, seed=1))
+    points = [w.location for w in instance.waypoints]
+    config = ClusterConfig()
+    by_member, radius = binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
+    assert max(by_member.sizes()) <= config.max_cluster_size
+    assert binary_search_clusters(points, config, "MAX_SIZE_CAP") == (by_member, radius)
+    with pytest.raises(ValueError):
+        binary_search_clusters(points, config, "bogus")
+
+
 def test_coincident_block_fails_recursively():
     points = [east(0)] * 600
     with pytest.raises(NoSolutionFoundError):
@@ -253,13 +275,16 @@ def test_undersized_cluster_merges_into_nearest():
     small = blob(rng, GeoPoint(22.3, 114.0), 30)
     near = blob(rng, GeoPoint(22.3, 114.02), 200)  # ~2 km
     far = blob(rng, GeoPoint(22.3, 114.10), 100)  # ~10 km
-    points = small + near + far
-    config = ClusterConfig(min_no_clusters=3)
+    farther = blob(rng, GeoPoint(22.3, 114.20), 100)  # ~20 km
+    points = small + near + far + farther
+    config = ClusterConfig(max_cluster_size=200)
     cluster_set = recursive_dbscan(points, config)
     sizes = sorted(cluster_set.sizes())
-    assert sizes == [100, 230]
-    merged = next(c for c in cluster_set.clusters if c.size == 230)
-    assert set(merged.members) == set(range(230))  # folded into the near blob
+    assert sizes == [100, 130, 200]
+    merged = next(c for c in cluster_set.clusters if c.size == 130)
+    # near would reach 230, so the small blob folds into the nearest
+    # cluster with room: the far one
+    assert set(merged.members) == set(range(30)) | set(range(230, 330))
 
 
 def test_merge_refused_when_cap_would_break():
@@ -267,8 +292,7 @@ def test_merge_refused_when_cap_would_break():
     small = blob(rng, GeoPoint(22.3, 114.0), 30)
     big = blob(rng, GeoPoint(22.3, 114.02), 495)
     points = small + big
-    config = ClusterConfig(min_no_clusters=2)
-    cluster_set = recursive_dbscan(points, config)
+    cluster_set = recursive_dbscan(points, ClusterConfig())
     assert sorted(cluster_set.sizes()) == [30, 495]  # 525 would break the cap
 
 

@@ -314,6 +314,9 @@ def _set_third_waypoint(doc, field, value):
         ("demand", "2", "'2'"),
         ("demand", None, "None"),
         ("demand", math.inf, "inf"),
+        ("lat", "22.35", "'22.35'"),
+        ("lon", True, "True"),
+        ("lat", None, "None"),
     ],
 )
 def test_instance_field_that_is_not_whole_is_rejected(field, value, shown):
@@ -321,7 +324,8 @@ def test_instance_field_that_is_not_whole_is_rejected(field, value, shown):
     doc = instance_to_dict(instance)
     _set_third_waypoint(doc, field, value)
     name = "window" if field.startswith("window") else field
-    with pytest.raises(InvalidInstanceError, match=rf"^waypoint 3: {name} must be a whole number, got {re.escape(shown)}$"):
+    kind = "a number" if field in ("lat", "lon") else "a whole number"
+    with pytest.raises(InvalidInstanceError, match=rf"^waypoint 3: {name} must be {kind}, got {re.escape(shown)}$"):
         instance_from_dict(doc)
 
 
@@ -337,7 +341,7 @@ def test_instance_field_that_is_a_whole_float_loads_as_int(field, value):
 
 @pytest.mark.parametrize(
     "where, value",
-    [("vehicle", 1.5), ("capacity", 30.5), ("depot_window", 0.5)],
+    [("vehicle", 1.5), ("capacity", 30.5), ("depot_window", 0.5), ("depot_lat", "22.3"), ("speed", True), ("speed", None)],
 )
 def test_fleet_or_depot_field_that_is_not_whole_is_rejected(where, value):
     doc = instance_to_dict(make_instance([150.0, 400.0]))
@@ -345,21 +349,50 @@ def test_fleet_or_depot_field_that_is_not_whole_is_rejected(where, value):
         doc["vehicles"][0]["id"] = value
     elif where == "capacity":
         doc["vehicles"][0]["capacity"] = value
-    else:
+    elif where == "depot_window":
         doc["depot"]["window"][0] = value
-    with pytest.raises(InvalidInstanceError, match=rf"must be a whole number, got {value}$"):
+    elif where == "depot_lat":
+        doc["depot"]["lat"] = value
+    else:
+        doc["travel"]["speed_mps"] = value
+    field = {
+        "vehicle": "vehicle id",
+        "capacity": "vehicle capacity",
+        "depot_window": "depot window",
+        "depot_lat": "depot lat",
+        "speed": "speed_mps",
+    }[where]
+    kind = "a number" if where in ("depot_lat", "speed") else "a whole number"
+    message = f"malformed instance document: {field} must be {kind}, got {value!r}"
+    with pytest.raises(InvalidInstanceError, match=rf"^{re.escape(message)}$"):
         instance_from_dict(doc)
 
 
-@pytest.mark.parametrize("key, value", [("stop", 3.7), ("stop", False), ("vehicle", 1.5), ("vehicle", "1")])
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("stop", 3.7),
+        ("stop", False),
+        ("vehicle", 1.5),
+        ("vehicle", "1"),
+        ("arrival", "0"),
+        ("arrival", None),
+        ("pickup_time", True),
+    ],
+)
 def test_plan_id_that_is_not_whole_is_rejected(key, value):
     instance, plan = _two_route_instance()
     doc = plan_to_dict(plan)
     if key == "stop":
         doc["routes"][1]["stops"][0]["id"] = value
-    else:
+    elif key == "vehicle":
         doc["routes"][0]["vehicle"] = value
-    with pytest.raises(ValueError, match=rf"^{key} id must be a whole number, got {re.escape(repr(value))}$"):
+    elif key == "arrival":
+        doc["routes"][1]["stops"][0]["arrival"] = value
+    else:
+        doc["routes"][0]["pickup_time"] = value
+    field, kind = (key, "a number") if key in ("arrival", "pickup_time") else (f"{key} id", "a whole number")
+    with pytest.raises(ValueError, match=rf"^{field} must be {kind}, got {re.escape(repr(value))}$"):
         plan_from_dict(doc, instance)
     doc = plan_to_dict(plan)
     doc["routes"][1]["stops"][0]["id"] = 3.0

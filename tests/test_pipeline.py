@@ -200,6 +200,18 @@ def test_strategies_cover_every_waypoint(strategy):
         assert result.peak_cluster_size >= 1
 
 
+def test_strategy_given_by_value_runs_the_strategy_it_names():
+    instance = generate_instance(GeneratorConfig(n_waypoints=400, seed=1))
+    params = SolverParams(time_limit_ms=100)
+    for strategy in Strategy:
+        by_value = run_strategy(instance, strategy.value, params=params)
+        by_member = run_strategy(instance, strategy, params=params)
+        assert plan_to_dict(by_value.plan) == plan_to_dict(by_member.plan)
+        assert by_value.cluster_count == by_member.cluster_count
+    with pytest.raises(ValueError):
+        run_strategy(instance, "bogus", params=params)
+
+
 def test_recursive_strategy_decomposes_large_instance():
     config = GeneratorConfig(n_waypoints=2_000, seed=42)
     instance = generate_instance(config)

@@ -146,9 +146,9 @@ def test_params_validation():
     with pytest.raises(ValueError):
         SolverParams(optimization_step=math.nan)
     with pytest.raises(ValueError):
-        SolverParams(solution_limit=-1)
-    with pytest.raises(ValueError):
         SolverParams(time_limit_ms=-1)
+    with pytest.raises(TypeError):
+        SolverParams(1.0, 5000)  # keyword only: no field order to shift
 
 
 # --- distance matrix ---
@@ -274,16 +274,6 @@ def test_zero_budget_returns_start_plan():
     out = local_search(start, instance, matrix, SolverParams(time_limit_ms=0), stats=stats)
     assert evaluate_objective(out, instance) == pytest.approx(600.0, abs=0.1)
     assert stats["accepted"] == 0
-
-
-def test_solution_limit_caps_accepted_moves():
-    rng = np.random.default_rng(4)
-    instance = scatter_instance(rng, 30, 4, 25)
-    matrix = build_matrix(instance)
-    start = path_cheapest_arc(instance, matrix)
-    stats = {}
-    local_search(start, instance, matrix, SolverParams(solution_limit=1), stats=stats)
-    assert stats["accepted"] <= 1
 
 
 def test_search_is_deterministic_per_seed():
@@ -510,7 +500,7 @@ def scalar_local_search(plan, instance, matrix, params, move_listener=None, stat
     quota = params.time_limit_ms * EVALS_PER_MS
     evals = 0
     accepted = 0
-    out_of_budget = params.solution_limit == 0 or quota == 0
+    out_of_budget = quota == 0
 
     covered = [u for u in range(1, n + 1) if route_of[u] >= 0]
     m = len(covered)
@@ -533,7 +523,7 @@ def scalar_local_search(plan, instance, matrix, params, move_listener=None, stat
         nonlocal out_of_budget
         if out_of_budget:
             return False
-        if evals >= quota or accepted >= params.solution_limit:
+        if evals >= quota:
             out_of_budget = True
             return False
         return True
@@ -918,13 +908,12 @@ def both_searches(start, instance, matrix, params):
     speed=st.sampled_from([0.5, 10.0, 30.0]),
     tight=st.booleans(),
     time_limit_ms=st.sampled_from([0, 1, 2, 5000]),
-    solution_limit=st.one_of(st.integers(1, 5), st.just(SolverParams().solution_limit)),
     step=st.sampled_from([0.0, 1.0]),
     rng_seed=st.integers(0, 2**16),
     scramble=st.booleans(),
 )
 def test_search_equals_scalar_scan(
-    drawn, capacities, speed, tight, time_limit_ms, solution_limit, step, rng_seed, scramble
+    drawn, capacities, speed, tight, time_limit_ms, step, rng_seed, scramble
 ):
     nodes, rng = drawn
     n = len(nodes) - 1
@@ -937,7 +926,7 @@ def test_search_equals_scalar_scan(
         start = RoutePlan(
             tuple(replace(r, stops=rng.permutation(r.stops).tolist()) for r in start.routes)
         )
-    params = SolverParams(step, solution_limit, time_limit_ms, rng_seed)
+    params = SolverParams(optimization_step=step, time_limit_ms=time_limit_ms, rng_seed=rng_seed)
     fast, reference = both_searches(start, instance, matrix, params)
     assert fast == reference
     plan, stats, deltas = fast
@@ -951,7 +940,7 @@ def test_search_equals_scalar_scan(
     [
         SolverParams(),
         SolverParams(time_limit_ms=1),
-        SolverParams(solution_limit=7, rng_seed=3),
+        SolverParams(rng_seed=3),
         SolverParams(optimization_step=0, time_limit_ms=2),
     ],
 )

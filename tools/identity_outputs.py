@@ -26,7 +26,11 @@ it writes
 
     OUT_DIR/{case}/error_{strategy}.txt  the "no solution:" line of routeforge solve
 
-which shows the waypoint ids the error names.  Last, it writes
+which shows the waypoint ids the error names.  The case n3000_s1_cap250
+passes --max-cluster-size 250 to every cluster and solve command on the
+wide-window instance of N = 3000 and seed 1.  At that cap the recursive
+decomposition cuts clusters down to depth 15, and DBSCAN writes an
+error_dbscan.txt because the vehicle pool runs dry.  Last, it writes
 
     OUT_DIR/bench.csv                  routeforge bench --sizes 300,200 --reps 2
     OUT_DIR/bench_unfenced.csv         the same with --no-budget
@@ -79,6 +83,9 @@ MIXED_FLEET = (1200, 4, (30, 24, 36))
 # (size, seed, fleet size): enough vehicles for one solve of every waypoint,
 # too few for the clustered strategies
 SHORT_FLEET = (1000, 0, 84)
+# (size, seed, cluster size cap): a cap that makes the decomposition recurse
+# deep
+SMALL_CAP = (3000, 1, 250)
 
 
 def _run(cli, argv: list[str], codes: tuple[int, ...] = (0,)) -> tuple[int, str]:
@@ -93,8 +100,17 @@ def _run(cli, argv: list[str], codes: tuple[int, ...] = (0,)) -> tuple[int, str]
 
 
 def _case(
-    cli, out: str, n: int, seed: int, windows: str, capacities: tuple[int, ...] = (), flags: tuple[str, ...] = ()
+    cli,
+    out: str,
+    n: int,
+    seed: int,
+    windows: str,
+    capacities: tuple[int, ...] = (),
+    flags: tuple[str, ...] = (),
+    cluster_flags: tuple[str, ...] = (),
 ) -> None:
+    """One case directory; `flags` go to generate, `cluster_flags` to every
+    cluster and solve command."""
     from routeforge import load_instance, save_instance
 
     os.makedirs(out, exist_ok=True)
@@ -104,11 +120,12 @@ def _case(
         generated = load_instance(instance)
         fleet = tuple(replace(v, capacity=capacities[v.id % len(capacities)]) for v in generated.vehicles)
         save_instance(replace(generated, vehicles=fleet), instance)
-    _run(cli, ["cluster", instance, "--out", os.path.join(out, "clusters.json")])
-    _run(cli, ["cluster", instance, "--flat", "--out", os.path.join(out, "clusters_flat.json")])
+    _run(cli, ["cluster", instance, *cluster_flags, "--out", os.path.join(out, "clusters.json")])
+    _run(cli, ["cluster", instance, "--flat", *cluster_flags, "--out", os.path.join(out, "clusters_flat.json")])
     for strategy in STRATEGIES:
         plan = os.path.join(out, f"plan_{strategy}.json")
-        code, err = _run(cli, ["solve", instance, "--strategy", strategy, "--out", plan], codes=(0, 1))
+        argv = ["solve", instance, "--strategy", strategy, *cluster_flags, "--out", plan]
+        code, err = _run(cli, argv, codes=(0, 1))
         if code == 1:  # the one "no solution:" line, which names no wall time
             with open(os.path.join(out, f"error_{strategy}.txt"), "w", encoding="utf-8") as fh:
                 fh.write(err)
@@ -197,6 +214,9 @@ def main(argv: list[str]) -> int:
     n, seed, fleet_size = SHORT_FLEET
     flags = ("--fleet-size", str(fleet_size))
     _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_fleet{fleet_size}"), n, seed, "wide", flags=flags)
+    n, seed, cap = SMALL_CAP
+    cluster_flags = ("--max-cluster-size", str(cap))
+    _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_cap{cap}"), n, seed, "wide", cluster_flags=cluster_flags)
     _bench(cli, argv[0], "bench.csv")
     _bench(cli, argv[0], "bench_unfenced.csv", ("--no-budget",))
     return 0
