@@ -1,10 +1,11 @@
 """Synthetic instance generation and the three-way benchmark harness.
 
-Instances are drawn from a mixture of Gaussian density blobs inside a
-Hong-Kong-sized bounding box, so the clustering strategies have real
-spatial structure to find.  The harness runs the (size, repetition)
-cells one after another, every strategy on the cell's one instance, and
-exports the wide comparison CSV plus GeoJSON for route inspection.  _run
+Instances are drawn from a mixture of Gaussian density blobs inside one
+fixed Hong-Kong-sized box (LAT_MIN..LAT_MAX, LON_MIN..LON_MAX), so the
+clustering strategies have real spatial structure to find.  The harness
+runs the (size, repetition) cells one after another, every strategy on
+the cell's one instance, and writes the wide comparison CSV plus GeoJSON
+for route inspection; nothing here reads a CSV back.  _run
 holds the one failure rule, fenced or not: a run that finds no plan
 becomes a no_solution record, a MemoryError or a breached budget fence a
 crashed_budget record, and any other exception propagates.  Sizes must
@@ -21,7 +22,7 @@ import os
 import signal
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -44,6 +45,9 @@ from .solver import SolverParams
 
 SPEED_MPS = 10.0
 HORIZON_S = 43_200  # 12 h planning day
+# the bounding box, in degrees, that holds every generated waypoint
+LAT_MIN, LAT_MAX = 22.15, 22.55
+LON_MIN, LON_MAX = 113.85, 114.35
 
 # blob scattering: centres at least this far apart (degrees), spreads kept
 # small enough that neighbouring blobs stay separable
@@ -57,24 +61,10 @@ class WindowStyle(str, Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class Region:
-    """Bounding box in degrees."""
-
-    lat_min: float = 22.15
-    lat_max: float = 22.55
-    lon_min: float = 113.85
-    lon_max: float = 114.35
-
-    def centroid(self) -> GeoPoint:
-        return GeoPoint((self.lat_min + self.lat_max) / 2.0, (self.lon_min + self.lon_max) / 2.0)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class GeneratorConfig:
     n_waypoints: int
     seed: int = 0
-    region: Region = field(default_factory=Region)
     demand_range: tuple[int, int] = (1, 4)
     window_style: WindowStyle = WindowStyle.WIDE
     fleet_size: Optional[int] = None  # None -> max(1, n // 10)
@@ -96,15 +86,12 @@ class GeneratorConfig:
             raise ValueError(f"demand_range {self.demand_range} exceeds vehicle_capacity {self.vehicle_capacity}")
 
 
-def _scatter_centers(rng: np.random.Generator, k: int, region: Region) -> np.ndarray:
+def _scatter_centers(rng: np.random.Generator, k: int) -> np.ndarray:
     """Blob centres, rejection-sampled to keep a minimum pairwise spacing."""
-    lat_lo = region.lat_min + _CENTER_MARGIN_DEG
-    lat_hi = region.lat_max - _CENTER_MARGIN_DEG
-    lon_lo = region.lon_min + _CENTER_MARGIN_DEG
-    lon_hi = region.lon_max - _CENTER_MARGIN_DEG
-    if lat_lo >= lat_hi or lon_lo >= lon_hi:  # degenerate custom region
-        lat_lo, lat_hi = region.lat_min, region.lat_max
-        lon_lo, lon_hi = region.lon_min, region.lon_max
+    lat_lo = LAT_MIN + _CENTER_MARGIN_DEG
+    lat_hi = LAT_MAX - _CENTER_MARGIN_DEG
+    lon_lo = LON_MIN + _CENTER_MARGIN_DEG
+    lon_hi = LON_MAX - _CENTER_MARGIN_DEG
     centers: list[tuple[float, float]] = []
     for _ in range(k):
         placed = None
@@ -118,22 +105,21 @@ def _scatter_centers(rng: np.random.Generator, k: int, region: Region) -> np.nda
 
 
 def generate_instance(config: GeneratorConfig) -> ProblemInstance:
-    """Deterministic synthetic instance: Gaussian blobs, depot at region centroid."""
+    """Deterministic synthetic instance: Gaussian blobs, depot at the centre of the box."""
     rng = np.random.default_rng(config.seed)
     n = config.n_waypoints
-    region = config.region
     # blob count grows with n so no single blob can exceed the usual size cap
     k_lo = max(5, min(15, math.ceil(n / 350)))
     k = int(rng.integers(k_lo, 16))
-    centers = _scatter_centers(rng, k, region)
+    centers = _scatter_centers(rng, k)
     sigma = rng.uniform(_SIGMA_RANGE_DEG[0], _SIGMA_RANGE_DEG[1], k)
     which = rng.integers(0, k, n)
-    lat = np.clip(centers[which, 0] + rng.normal(0.0, sigma[which]), region.lat_min, region.lat_max)
-    lon = np.clip(centers[which, 1] + rng.normal(0.0, sigma[which]), region.lon_min, region.lon_max)
+    lat = np.clip(centers[which, 0] + rng.normal(0.0, sigma[which]), LAT_MIN, LAT_MAX)
+    lon = np.clip(centers[which, 1] + rng.normal(0.0, sigma[which]), LON_MIN, LON_MAX)
     lo, hi = config.demand_range
     demand = rng.integers(lo, hi + 1, n)
 
-    depot_loc = region.centroid()
+    depot_loc = GeoPoint((LAT_MIN + LAT_MAX) / 2.0, (LON_MIN + LON_MAX) / 2.0)
     depot = Depot(location=depot_loc, window=TimeWindow(0, HORIZON_S))
 
     if config.window_style is WindowStyle.WIDE:
@@ -198,8 +184,6 @@ class BudgetConfig:
 
 DEFAULT_SIZES = (100, 250, 500, 1000)
 DEFAULT_REPS = 5
-FULL_SIZES = tuple(range(500, 5001, 500))
-FULL_REPS = 15
 _BASE_SEED = 1729
 
 
@@ -364,25 +348,6 @@ def export_csv(records: Iterable[BenchRecord], path: str) -> None:
                 writer.writerow(row)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc
-
-
-def parse_csv(path: str) -> list[dict]:
-    """Inverse of export_csv; `-` cells come back as None."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames != CSV_COLUMNS:
-                raise ValueError(f"unexpected columns in {path}: {reader.fieldnames}")
-            rows = []
-            for raw in reader:
-                row: dict = {"wps": int(raw["wps"])}
-                for col in CSV_COLUMNS[1:]:
-                    kind = float if col.startswith("runtime") else int
-                    row[col] = None if raw[col] == "-" else kind(raw[col])
-                rows.append(row)
-            return rows
-    except OSError as exc:
-        raise OSError(f"cannot read results from {path}: {exc}") from exc
 
 
 def _mean(records: list[BenchRecord], field_name: str) -> float:

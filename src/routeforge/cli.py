@@ -16,8 +16,6 @@ from typing import Optional, Sequence
 from .bench import (
     DEFAULT_REPS,
     DEFAULT_SIZES,
-    FULL_REPS,
-    FULL_SIZES,
     BudgetConfig,
     GeneratorConfig,
     RunStatus,
@@ -209,8 +207,8 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_bench(args) -> int:
     # a given --sizes or --reps is never empty or 0
-    sizes = args.sizes or list(FULL_SIZES if args.full else DEFAULT_SIZES)
-    reps = args.reps or (FULL_REPS if args.full else DEFAULT_REPS)
+    sizes = args.sizes or list(DEFAULT_SIZES)
+    reps = args.reps or DEFAULT_REPS
     generator_flags = _generator_flags(args)
     generator = _config(GeneratorConfig, n_waypoints=1, **generator_flags) if generator_flags else None
     budget = None
@@ -295,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--sizes", type=_waypoint_counts, default=None, help="comma-separated waypoint counts")
     p_bench.add_argument("--reps", type=lambda text: _int_at_least(text, 1, "repetitions must be a positive integer"))
     p_bench.add_argument("--strategies", type=_strategies, default=None, help="comma-separated subset of strategies")
-    p_bench.add_argument("--full", action="store_true", help="500..5000 step 500, 15 repetitions")
     p_bench.add_argument(
         "--seed", type=lambda text: _int_at_least(text, 0, "seed must be a non-negative integer"), help="base seed for the grid"
     )

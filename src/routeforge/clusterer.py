@@ -89,9 +89,6 @@ class ClusterSet:
     def sizes(self) -> list[int]:
         return [c.size for c in self.clusters]
 
-    def partition(self) -> list[list[int]]:
-        return [list(c.members) for c in self.clusters]
-
     @property
     def n_points(self) -> int:
         return sum(c.size for c in self.clusters)

@@ -311,7 +311,8 @@ def validate_solution(plan: RoutePlan, instance: ProblemInstance) -> list[Violat
             expected_arrival = clock + instance.travel.seconds(
                 haversine_distance(prev_location, wp.location)
             )
-            if not timing_broken and abs(stop.arrival_time - expected_arrival) > _TIME_TOLERANCE:
+            # `not <=`, so that a NaN time is inconsistent as well
+            if not timing_broken and not abs(stop.arrival_time - expected_arrival) <= _TIME_TOLERANCE:
                 violations.append(
                     Violation(
                         ViolationKind.TIMING_INCONSISTENT,
@@ -332,7 +333,7 @@ def validate_solution(plan: RoutePlan, instance: ProblemInstance) -> list[Violat
                     )
                 )
             expected_departure = service_start + wp.service_duration
-            if not timing_broken and abs(stop.departure_time - expected_departure) > _TIME_TOLERANCE:
+            if not timing_broken and not abs(stop.departure_time - expected_departure) <= _TIME_TOLERANCE:
                 violations.append(
                     Violation(
                         ViolationKind.TIMING_INCONSISTENT,
@@ -413,15 +414,23 @@ def _real(value, field: str) -> float:
     raise ValueError(f"{field} must be a number, got {value!r}")
 
 
+def _window(value, field: str) -> TimeWindow:
+    """A document's window: a list of exactly two whole numbers.  Anything
+    else raises ValueError naming `field`."""
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f"{field} must be a list of two whole numbers, got {value!r}")
+    return TimeWindow(_whole(value[0], field), _whole(value[1], field))
+
+
 def instance_from_dict(data: dict) -> ProblemInstance:
     """Rebuild an instance from its exported form.  An integer field takes
-    an int or a float with no fraction, a real one an int or a float; an
-    error names the waypoint by its 1-based position."""
+    an int or a float with no fraction, a real one an int or a float, and a
+    window a list of two such integers; an error names the waypoint by its
+    1-based position."""
     try:
-        depot_window = data["depot"]["window"]
         depot = Depot(
             GeoPoint(_real(data["depot"]["lat"], "depot lat"), _real(data["depot"]["lon"], "depot lon")),
-            TimeWindow(_whole(depot_window[0], "depot window"), _whole(depot_window[1], "depot window")),
+            _window(data["depot"]["window"], "depot window"),
         )
         waypoints = []
         for k, w in enumerate(data["waypoints"], start=1):
@@ -431,7 +440,7 @@ def instance_from_dict(data: dict) -> ProblemInstance:
                         id=_whole(w["id"], "id"),
                         location=GeoPoint(_real(w["lat"], "lat"), _real(w["lon"], "lon")),
                         demand=_whole(w["demand"], "demand"),
-                        window=TimeWindow(_whole(w["window"][0], "window"), _whole(w["window"][1], "window")),
+                        window=_window(w["window"], "window"),
                         service_duration=_whole(w.get("service", 0), "service"),
                     )
                 )

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -10,17 +11,19 @@ import pytest
 from routeforge.bench import (
     CSV_COLUMNS,
     HORIZON_S,
+    LAT_MAX,
+    LAT_MIN,
+    LON_MAX,
+    LON_MIN,
     BenchRecord,
     BudgetConfig,
     GeneratorConfig,
-    Region,
     RunStatus,
     WindowStyle,
     _cell_seed,
     export_csv,
     export_geojson,
     generate_instance,
-    parse_csv,
     run_benchmark,
     summarise,
 )
@@ -114,6 +117,8 @@ def test_generator_config_validation():
     with pytest.raises(ValueError, match="exceeds vehicle_capacity"):
         GeneratorConfig(n_waypoints=10, demand_range=(1, 31), vehicle_capacity=30)
     GeneratorConfig(n_waypoints=10, demand_range=(1, 30), vehicle_capacity=30)
+    with pytest.raises(TypeError):
+        GeneratorConfig(10, 3)  # keyword-only, so an old positional call fails loudly
 
 
 def test_generator_is_deterministic():
@@ -128,15 +133,13 @@ def test_generator_is_deterministic():
 def test_generated_instance_stays_in_bounds():
     config = GeneratorConfig(n_waypoints=1_000, seed=5)
     instance = generate_instance(config)
-    region = Region()
     assert instance.n_waypoints == 1_000
     assert len(instance.vehicles) == 100  # n // 10
-    centroid = region.centroid()
-    assert instance.depot.location.lat == pytest.approx(centroid.lat)
-    assert instance.depot.location.lon == pytest.approx(centroid.lon)
+    assert instance.depot.location.lat == pytest.approx((LAT_MIN + LAT_MAX) / 2.0)
+    assert instance.depot.location.lon == pytest.approx((LON_MIN + LON_MAX) / 2.0)
     for wp in instance.waypoints:
-        assert region.lat_min <= wp.location.lat <= region.lat_max
-        assert region.lon_min <= wp.location.lon <= region.lon_max
+        assert LAT_MIN <= wp.location.lat <= LAT_MAX
+        assert LON_MIN <= wp.location.lon <= LON_MAX
         assert 1 <= wp.demand <= 4
         assert 0 <= wp.window.earliest <= wp.window.latest <= HORIZON_S
 
@@ -434,28 +437,21 @@ def test_csv_round_trip(tmp_path):
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
     assert header == ",".join(CSV_COLUMNS)
-    rows = parse_csv(path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4  # (100, rep0), (100, rep1), (250, rep0), (500, rep0)
-    assert rows[3]["runtime_recursive"] == 0.004567
+    assert rows[3]["runtime_recursive"] == "0.004567"
     first = rows[0]
-    assert first["wps"] == 100
-    assert first["runtime_monolithic"] == 2.0
-    assert first["distance_monolithic"] == 10_000
-    assert first["cars_monolithic"] == 2
-    assert first["runtime_dbscan"] is None  # no-solution cell
-    assert first["distance_recursive"] == 11_000
+    assert first["wps"] == "100"
+    assert first["runtime_monolithic"] == "2.000000"
+    assert first["distance_monolithic"] == "10000"
+    assert first["cars_monolithic"] == "2"
+    assert first["runtime_dbscan"] == "-"  # no-solution cell
+    assert first["distance_recursive"] == "11000"
     third = rows[2]
-    assert third["runtime_monolithic"] is None  # crashed cell
-    assert third["distance_dbscan"] is None  # strategy never ran
-    assert third["cars_recursive"] == 9
-
-
-def test_csv_rejects_foreign_columns(tmp_path):
-    path = str(tmp_path / "bad.csv")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("wps,runtime\n100,2.0\n")
-    with pytest.raises(ValueError):
-        parse_csv(path)
+    assert third["runtime_monolithic"] == "-"  # crashed cell
+    assert third["distance_dbscan"] == "-"  # strategy never ran
+    assert third["cars_recursive"] == "9"
 
 
 def test_summary_arithmetic():

@@ -1,8 +1,10 @@
+import csv
 import json
+import math
+import re
 
 import pytest
 
-from routeforge.bench import parse_csv
 from routeforge.cli import main
 from routeforge.model import load_instance, load_plan, validate_solution
 
@@ -12,6 +14,11 @@ def gen(tmp_path, name="inst.json", n=30, seed=3, extra=()):
     code = main(["generate", "--n", str(n), "--seed", str(seed), "--out", path, *extra])
     assert code == 0
     return path
+
+
+def read_csv(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 # --- generate ---
@@ -181,6 +188,41 @@ def test_validate_rejects_an_id_that_is_not_whole(tmp_path, capsys):
     assert "stop id must be a whole number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reverse_first_route", [False, True])
+def test_validate_flags_nan_arrivals(tmp_path, capsys, reverse_first_route):
+    inst_path = gen(tmp_path, n=30, seed=1, extra=("--windows", "mixed", "--fleet-size", "12"))
+    plan_path = str(tmp_path / "plan.json")
+    assert main(["solve", inst_path, "--out", plan_path]) == 0
+    with open(plan_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    for route in doc["routes"]:
+        for stop in route["stops"]:
+            stop["arrival"] = math.nan
+    if reverse_first_route:
+        doc["routes"][0]["stops"].reverse()
+    with open(plan_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["validate", inst_path, plan_path]) == 1
+    out = capsys.readouterr().out
+    assert out.count("TIMING_INCONSISTENT") == len(doc["routes"])
+    assert "feasible" not in out
+
+
+def test_solve_rejects_a_window_of_the_wrong_shape(tmp_path, capsys):
+    inst_path = gen(tmp_path, n=10)
+    with open(inst_path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["waypoints"][0]["window"] = [0]
+    with open(inst_path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    capsys.readouterr()
+    assert main(["solve", inst_path, "--out", str(tmp_path / "plan.json")]) == 2
+    err = capsys.readouterr().err
+    assert "waypoint 1: window must be a list of two whole numbers, got [0]" in err
+    assert "Traceback" not in err
+
+
 # --- bench ---
 
 
@@ -201,8 +243,8 @@ def test_bench_writes_csv_and_summary(tmp_path, capsys):
         ]
     )
     assert code == 0
-    rows = parse_csv(csv_path)
-    assert [row["wps"] for row in rows] == [30, 40]
+    rows = read_csv(csv_path)
+    assert [row["wps"] for row in rows] == ["30", "40"]
     assert "MONOLITHIC" in capsys.readouterr().out
 
 
@@ -225,10 +267,10 @@ def test_bench_strategy_subset(tmp_path):
         ]
     )
     assert code == 0
-    row = parse_csv(csv_path)[0]
-    assert row["runtime_monolithic"] is not None
-    assert row["runtime_recursive"] is not None
-    assert row["runtime_dbscan"] is None
+    row = read_csv(csv_path)[0]
+    assert re.fullmatch(r"\d+\.\d{6}", row["runtime_monolithic"])
+    assert re.fullmatch(r"\d+\.\d{6}", row["runtime_recursive"])
+    assert row["runtime_dbscan"] == "-"
 
 
 def test_bench_seed_equal_to_the_default_changes_no_plan(tmp_path):
@@ -238,7 +280,7 @@ def test_bench_seed_equal_to_the_default_changes_no_plan(tmp_path):
         csv_path = str(tmp_path / name)
         argv = ["bench", "--out", csv_path, "--sizes", "200", "--reps", "1", "--no-budget", *extra]
         assert main(argv) == 0
-        rows.append([{k: v for k, v in row.items() if not k.startswith("runtime")} for row in parse_csv(csv_path)])
+        rows.append([{k: v for k, v in row.items() if not k.startswith("runtime")} for row in read_csv(csv_path)])
     assert rows[0] == rows[1]
 
 
@@ -310,6 +352,7 @@ def test_bad_strategy_name_is_usage_error(tmp_path, capsys):
         ),
         (["solve", "{inst}", "--solution-limit", "5"], "unrecognized arguments: --solution-limit 5"),
         (["cluster", "{inst}", "--min-no-clusters", "2"], "unrecognized arguments: --min-no-clusters 2"),
+        (["bench", "--sizes", "30", "--reps", "1", "--full"], "unrecognized arguments: --full"),
     ],
 )
 def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv, message):

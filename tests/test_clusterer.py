@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from routeforge.bench import GeneratorConfig, generate_instance
+from routeforge.bench import GeneratorConfig, _cell_seed, generate_instance
 from routeforge.clusterer import (
     Cluster,
     ClusterConfig,
@@ -226,7 +226,7 @@ def test_radius_zero_probe_clusters_coincident_points(recursive):
     else:
         cluster_set, radius = binary_search_clusters(points, config, Feasibility.MAX_SIZE_CAP)
         assert radius == 0
-    assert cluster_set.partition() == [[2 * k, 2 * k + 1] for k in range(5)]
+    assert [list(c.members) for c in cluster_set.clusters] == [[2 * k, 2 * k + 1] for k in range(5)]
     assert [c.radius for c in cluster_set.clusters] == [0] * 5
 
 
@@ -322,6 +322,18 @@ def test_deeper_clusters_are_cut_below_the_depth_0_radius():
     for c in clusters:
         tree = spanning_tree([points[i] for i in c.members])
         assert tree.weights.max(initial=0.0) <= c.radius, (c.depth, c.radius)
+
+
+@pytest.mark.parametrize("rep", range(5))
+def test_decomposition_cuts_matrix_cells(rep):
+    # the deterministic side of the acceptance runtime test, on its five
+    # n = 1500 instances: the sub-solves' (size + 1)^2 matrix cells, depot
+    # included, stay under the same 0.60 of the monolithic (n + 1)^2
+    n = 1_500
+    instance = generate_instance(GeneratorConfig(n_waypoints=n, seed=_cell_seed(1729, n, rep)))
+    cluster_set = recursive_dbscan([w.location for w in instance.waypoints], ClusterConfig())
+    ratio = sum((size + 1) ** 2 for size in cluster_set.sizes()) / (n + 1) ** 2
+    assert ratio < 0.60, ratio
 
 
 def test_recursive_runs_are_identical():

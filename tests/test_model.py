@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routeforge.geo import GeoPoint, haversine_distance
 from routeforge.model import (
@@ -246,6 +249,29 @@ def test_overstated_speed_reported_as_timing():
     assert ViolationKind.TIMING_INCONSISTENT in _kinds(validate_solution(RoutePlan((lie,)), instance))
 
 
+@pytest.mark.parametrize("reverse_first_route", [False, True])
+def test_nan_arrivals_are_timing_inconsistent(reverse_first_route):
+    instance, plan = _two_route_instance()
+    doc = plan_to_dict(plan)
+    for route in doc["routes"]:
+        for stop in route["stops"]:
+            stop["arrival"] = math.nan
+    if reverse_first_route:
+        doc["routes"][0]["stops"].reverse()
+    kinds = _kinds(validate_solution(plan_from_dict(doc, instance), instance))
+    assert kinds == [ViolationKind.TIMING_INCONSISTENT] * 2
+
+
+def test_nan_departure_is_timing_inconsistent():
+    instance = make_instance([200.0, 500.0])
+    route = routed(instance, 1, [1, 2])
+    first, second = route.stops
+    lie = Route(1, route.depot_pickup_time, (StopVisit(1, first.arrival_time, math.nan), second))
+    violations = validate_solution(RoutePlan((lie,)), instance)
+    assert _kinds(violations) == [ViolationKind.TIMING_INCONSISTENT]
+    assert violations[0].detail["waypoint"] == 1
+
+
 def test_vehicle_reuse_reported():
     instance = make_instance([200.0, 500.0], n_vehicles=2)
     plan = RoutePlan((routed(instance, 1, [1]), routed(instance, 1, [2])))
@@ -317,6 +343,10 @@ def _set_third_waypoint(doc, field, value):
         ("lat", "22.35", "'22.35'"),
         ("lon", True, "True"),
         ("lat", None, "None"),
+        ("window", [0], "[0]"),
+        ("window", "", "''"),
+        ("window", [0, 10, 20], "[0, 10, 20]"),
+        ("window", None, "None"),
     ],
 )
 def test_instance_field_that_is_not_whole_is_rejected(field, value, shown):
@@ -324,9 +354,40 @@ def test_instance_field_that_is_not_whole_is_rejected(field, value, shown):
     doc = instance_to_dict(instance)
     _set_third_waypoint(doc, field, value)
     name = "window" if field.startswith("window") else field
-    kind = "a number" if field in ("lat", "lon") else "a whole number"
+    kind = {"lat": "a number", "lon": "a number", "window": "a list of two whole numbers"}.get(field, "a whole number")
     with pytest.raises(InvalidInstanceError, match=rf"^waypoint 3: {name} must be {kind}, got {re.escape(shown)}$"):
         instance_from_dict(doc)
+
+
+def _nodes(doc, path=()):
+    """The path of every node of a JSON document, the root's () included."""
+    yield path
+    children = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+_ODD_VALUES = [None, True, -1, 1.5, math.nan, math.inf, "x", "", [], [1], [1, 2, 3], {}, 2**70]
+_SMALL_DOC = instance_to_dict(make_instance([150.0, 400.0], n_vehicles=2, service=5))
+
+
+# 35 nodes by 13 values: Hypothesis tries all 455 pairs, then stops
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(list(_nodes(_SMALL_DOC))), st.sampled_from(_ODD_VALUES))
+def test_any_odd_node_loads_or_is_an_invalid_instance(path, value):
+    doc = copy.deepcopy(_SMALL_DOC)
+    if path:
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+    else:
+        doc = value
+    try:
+        instance = instance_from_dict(doc)
+    except InvalidInstanceError:
+        return
+    assert isinstance(instance, ProblemInstance)
 
 
 @pytest.mark.parametrize("field, value", [("id", 3.0), ("demand", 3.0), ("window_start", 10.0), ("service", 0.0)])
@@ -341,7 +402,15 @@ def test_instance_field_that_is_a_whole_float_loads_as_int(field, value):
 
 @pytest.mark.parametrize(
     "where, value",
-    [("vehicle", 1.5), ("capacity", 30.5), ("depot_window", 0.5), ("depot_lat", "22.3"), ("speed", True), ("speed", None)],
+    [
+        ("vehicle", 1.5),
+        ("capacity", 30.5),
+        ("depot_window", 0.5),
+        ("depot_lat", "22.3"),
+        ("speed", True),
+        ("speed", None),
+        ("depot_window_list", [0]),
+    ],
 )
 def test_fleet_or_depot_field_that_is_not_whole_is_rejected(where, value):
     doc = instance_to_dict(make_instance([150.0, 400.0]))
@@ -351,6 +420,8 @@ def test_fleet_or_depot_field_that_is_not_whole_is_rejected(where, value):
         doc["vehicles"][0]["capacity"] = value
     elif where == "depot_window":
         doc["depot"]["window"][0] = value
+    elif where == "depot_window_list":
+        doc["depot"]["window"] = value
     elif where == "depot_lat":
         doc["depot"]["lat"] = value
     else:
@@ -359,10 +430,13 @@ def test_fleet_or_depot_field_that_is_not_whole_is_rejected(where, value):
         "vehicle": "vehicle id",
         "capacity": "vehicle capacity",
         "depot_window": "depot window",
+        "depot_window_list": "depot window",
         "depot_lat": "depot lat",
         "speed": "speed_mps",
     }[where]
     kind = "a number" if where in ("depot_lat", "speed") else "a whole number"
+    if where == "depot_window_list":
+        kind = "a list of two whole numbers"
     message = f"malformed instance document: {field} must be {kind}, got {value!r}"
     with pytest.raises(InvalidInstanceError, match=rf"^{re.escape(message)}$"):
         instance_from_dict(doc)
