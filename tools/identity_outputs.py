@@ -48,15 +48,19 @@ change's, then ``diff -r`` of the two trees, shows whether the change kept
 every output.  One run takes about two minutes on a 2-vCPU machine.
 
 Where a change may move floats in their last bits but must keep every
-route, compare the two trees instead of diffing them:
+route, or moves some plans on purpose, compare the two trees instead of
+diffing them:
 
-    python3 tools/identity_outputs.py compare DIR_A DIR_B
+    PYTHONPATH=src python3 tools/identity_outputs.py compare DIR_A DIR_B
 
 prints one line per file.  An instance or cluster file reads ``same`` when
 the two copies are byte-equal.  A plan reads ``routes same`` when every
 route has the same vehicle and the same stop ids in the same order, then
 the largest absolute difference between any two floats at the same place
-in the two plans (``drift 0`` for byte-equal plans).  The command exits 0
+in the two plans (``drift 0`` for byte-equal plans).  A plan whose routes
+differ reads ``ROUTES DIFFER``, then each tree's busy vehicles and total
+distance, priced with ``routeforge`` on that tree's ``instance.json`` of
+the case, as ``vehicles A -> B, distance A -> B km``.  The command exits 0
 when every instance and cluster file is byte-equal and every plan's routes
 are the same, and 1 otherwise (a file in only one tree counts as a
 difference).
@@ -166,6 +170,16 @@ def _drift(a, b) -> float:
     return 0.0
 
 
+def _plan_totals(path: str) -> tuple[int, float]:
+    """A plan file's busy vehicles and total distance in km, priced on
+    the instance.json next to it."""
+    from routeforge import evaluate_objective, load_instance, load_plan
+
+    instance = load_instance(os.path.join(os.path.dirname(path), "instance.json"))
+    plan = load_plan(path, instance)
+    return len(plan.busy_vehicles), evaluate_objective(plan, instance) / 1000.0
+
+
 def _compare_file(path_a: str, path_b: str) -> tuple[bool, str]:
     """Whether the file passes, and its report."""
     with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
@@ -174,7 +188,8 @@ def _compare_file(path_a: str, path_b: str) -> tuple[bool, str]:
         return raw_a == raw_b, "same" if raw_a == raw_b else "DIFFERS"
     plan_a, plan_b = json.loads(raw_a), json.loads(raw_b)
     if _routes(plan_a) != _routes(plan_b):
-        return False, "ROUTES DIFFER"
+        (vehicles_a, km_a), (vehicles_b, km_b) = _plan_totals(path_a), _plan_totals(path_b)
+        return False, f"ROUTES DIFFER, vehicles {vehicles_a} -> {vehicles_b}, distance {km_a:.3f} -> {km_b:.3f} km"
     return True, f"routes same, drift {_drift(plan_a, plan_b):.3g}"
 
 
@@ -197,7 +212,7 @@ def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(
             "usage: python3 tools/identity_outputs.py OUT_DIR\n"
-            "       python3 tools/identity_outputs.py compare DIR_A DIR_B",
+            "       PYTHONPATH=src python3 tools/identity_outputs.py compare DIR_A DIR_B",
             file=sys.stderr,
         )
         return 2
