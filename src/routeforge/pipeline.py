@@ -44,17 +44,18 @@ and Braysy (2009), restricted to the routes at cluster seams.
   at most the emptied route's length, depot leg included, so the plan gets
   no longer; otherwise its routes are restored.  propagate_schedule times
   every changed route again.
+A candidate also ends as soon as its insertion costs pass that length.
 The distances come from one geo.HaversineKernel call per stop, over the
-nodes around the positions whose windows could hold at any distance.  Those
-positions are then taken in order of cost: a forward-slack test
-(Savelsbergh 1992) skips each whose windows break, and a replay of the
-schedule in propagate_schedule's own arithmetic confirms the first left.
+nodes of the target routes with room for it, and each route's arcs
+d(prev, next) are kept as its stops go in.  The positions are tried in
+order of cost, and propagate_schedule, the one window check, times the
+first whose route it accepts.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
-import math
 import multiprocessing
 import os
 import time
@@ -75,6 +76,7 @@ from .clusterer import (
 )
 from .geo import GeoPoint, HaversineKernel, fork_join, haversine_distance, may_fork, usable_cpus
 from .model import (
+    InfeasibleSequenceError,
     ProblemInstance,
     Route,
     RoutePlan,
@@ -241,190 +243,59 @@ def _solve_in_order(
     return RoutePlan(tuple(routes))
 
 
-# How far past a window close the prefilter lets a position through, in
-# seconds: far more than the rounding of its sums, so it never drops a
-# position that the exact replay accepts.
-_SLACK_TOLERANCE_S = 1e-6
-# How far the insertion costs may pass the emptied route's length before a
-# candidate is given up early.  A cost is never negative by more than
-# rounding, so the costs still to come cannot take this back.
-_LENGTH_TOLERANCE_M = 1e-6
-
-# The rows of a route's position table.  A route of m stops has m + 1
-# insertion positions: position p comes before its stop p, and position m
-# after its last stop.  Integer rows: the node before the position (0, the
-# depot, at position 0) and the node after it (`end` at position m).
-_PREV, _NEXT = range(2)
-# Float rows: the departure from the node before; the length of the arc the
-# position cuts; the arrival, service start and latest service start of the
-# node after it, where the latest start is the service start plus the
-# forward slack of Savelsbergh (1992), the most it may move without breaking
-# a window from there on; and the route's spare capacity.  At position m
-# these are 0, except the latest start, inf.
-_DEPART, _ARC, _ARRIVE, _START, _LATEST, _SPARE = range(6)
-
-
-def _cheapest_first(cost: np.ndarray):
-    """The indices of `cost` by ascending cost, ties by index: the first
-    from one argmin, the rest sorted only if the caller asks for them."""
-    if len(cost):
-        first = int(np.argmin(cost))
-        yield first
-        yield from (j for j in np.argsort(cost, kind="stable").tolist() if j != first)
-
-
-def _latest_starts(close: list[float], arrive: list[float], start: list[float]) -> list[float]:
-    """The latest service start at each position of one or more whole
-    tables, from the window close, arrival and service start of the node
-    after it (inf, 0 and 0 where there is none): the close, or the latest
-    start after it less the time the vehicle may still lose on the way
-    there, whichever is earlier."""
-    latest = list(close)
-    for i in range(len(close) - 2, -1, -1):
-        if close[i] != math.inf:
-            latest[i] = min(close[i], start[i] + (latest[i + 1] - arrive[i + 1]))
-    return latest
-
-
-class _Positions:
-    """The insertion positions of the routes the pass may change, one table
-    per route (see the row constants above), and the distance kernel over
-    the depot (node 0) and the waypoints (node = id) that prices them.
-    Node `end` stands for no node, at distance 0."""
-
-    def __init__(self, instance: ProblemInstance, routes: dict[int, Route], spare: list[int], demand: list[int]):
-        self.waypoints = instance.waypoints
-        self.end = len(self.waypoints) + 1
-        self.speed = instance.travel.speed_mps
-        self.demand = demand
-        self.kernel = HaversineKernel([instance.depot.location] + [w.location for w in self.waypoints])
-        # the distances from the stop being placed, by node; `end` stays 0
-        self.dist = np.zeros(self.end + 1)
-        # Every table at once, route after route, then cut into views.
-        keys = list(routes)
-        sizes = [len(routes[k].stops) + 1 for k in keys]
-        bounds = np.cumsum([0] + sizes)
-        stops = [s for k in keys for s in routes[k].stops]
-        ids = [s.waypoint_id for s in stops]
-        at = np.ones(bounds[-1], dtype=bool)
-        at[bounds[1:] - 1] = False
-        at = np.flatnonzero(at)
-        ints = np.zeros((2, bounds[-1]), dtype=np.int64)
-        ints[_NEXT] = self.end
-        ints[_NEXT, at] = ids
-        ints[_PREV, at + 1] = ids
-        floats = np.zeros((6, bounds[-1]))
-        floats[_DEPART, bounds[:-1]] = [routes[k].depot_pickup_time for k in keys]
-        floats[_DEPART, at + 1] = [s.departure_time for s in stops]
-        floats[_ARC, at] = self.kernel(ints[_PREV, at], ints[_NEXT, at])
-        floats[_ARRIVE, at] = [s.arrival_time for s in stops]
-        floats[_START, at] = np.maximum(floats[_ARRIVE, at], [self.waypoints[i - 1].window.earliest for i in ids])
-        close = np.full(bounds[-1], math.inf)
-        close[at] = [self.waypoints[i - 1].window.latest for i in ids]
-        floats[_LATEST] = _latest_starts(close.tolist(), floats[_ARRIVE].tolist(), floats[_START].tolist())
-        floats[_SPARE] = np.repeat([spare[k] for k in keys], sizes)
-        self.tables = {k: (ints[:, a:b], floats[:, a:b]) for k, a, b in zip(keys, bounds.tolist(), bounds[1:].tolist())}
-
-    def insert(self, k: int, p: int, w: int, to_before: float, to_after: float) -> bool:
-        """Insert node w at position p of route k, whose nodes around it lie
-        to_before and to_after meters from w, unless a window breaks.  The
-        schedule is replayed as propagate_schedule computes it, from w on
-        until a departure does not move."""
-        ints, floats = self.tables[k]
-        m = ints.shape[1] - 1
-        ids = ints[_NEXT].tolist()
-        depart, arcs, arrive, start = floats[(_DEPART, _ARC, _ARRIVE, _START),].tolist()
-        ids.insert(p, w)
-        arcs[p : p + 1] = [to_before, to_after] if p < m else [to_before, 0.0]
-        arrive.insert(p, 0.0)
-        start.insert(p, 0.0)
-        depart.insert(p + 1, math.nan)
-        clock = depart[p]
-        for i in range(p, m + 1):
-            wp = self.waypoints[ids[i] - 1]
-            arrival = clock + arcs[i] / self.speed
-            begin = max(arrival, float(wp.window.earliest))
-            if begin > wp.window.latest:
-                return False
-            arrive[i], start[i] = arrival, begin
-            clock = begin + wp.service_duration
-            if clock == depart[i + 1]:  # the schedule from here on is the old one
-                break
-            depart[i + 1] = clock
-        close = [self.waypoints[i - 1].window.latest for i in ids[:-1]] + [math.inf]
-        table = np.empty((6, m + 2))
-        table[(_DEPART, _ARC, _ARRIVE, _START, _LATEST),] = depart, arcs, arrive, start, _latest_starts(close, arrive, start)
-        table[_SPARE] = floats[_SPARE, 0] - self.demand[w]
-        nodes = np.array([[0] + ids[:-1], ids])
-        self.tables[k] = (nodes, table)
-        return True
-
-    def reinsert(self, c: int, targets: list[int]) -> Optional[dict[int, tuple[np.ndarray, np.ndarray]]]:
-        """Place route c's stops, in route order, each at the cheapest
-        position of the `targets` routes (in vehicle id order) that has the
-        spare capacity and keeps every window; ties go to the first.
-        Returns the changed routes' tables as they were, or None, with
-        every table restored, when a stop fits nowhere or the insertions
-        cost more than route c's length."""
-        length = sum(self.tables[c][1][_ARC].tolist())
-        stops = self.tables[c][0][_NEXT, :-1].tolist()
-        least = min(self.demand[w] for w in stops)
-        targets = [k for k in targets if k in self.tables and self.tables[k][1][_SPARE, 0] >= least]
-        if not targets:
+def _reinsert(
+    instance: ProblemInstance, kernel: HaversineKernel, emptied: Route, targets: list[Route], room: list[int]
+) -> Optional[list[Route]]:
+    """The `targets` routes, in vehicle id order, with `emptied`'s stops
+    placed as the seam pass places them (see the module docstring) and
+    timed by propagate_schedule; `room` is each target's spare capacity.
+    None when a stop fits nowhere or the insertions cost more than
+    `emptied`'s length.  `kernel` prices the depot (node 0) and the
+    waypoints (node = id)."""
+    targets, room = list(targets), list(room)
+    # the distances from the stop being placed, by node; node n + 1 stands
+    # for no node, after a route's last stop, and stays 0
+    end = instance.n_waypoints + 1
+    dist = np.zeros(end + 1)
+    # each target's node before and node after each position, and the length
+    # of the arc the position cuts
+    before = [np.array((0,) + r.stop_ids) for r in targets]
+    after = [np.append(nodes[1:], end) for nodes in before]
+    arcs = [np.append(kernel(nodes[:-1], nodes[1:]), 0.0) for nodes in before]
+    path = np.array((0,) + emptied.stop_ids)
+    length = sum(kernel(path[:-1], path[1:]).tolist())
+    total = 0.0
+    for w in emptied.stop_ids:
+        demand = instance.waypoint(w).demand
+        fitting = [j for j in range(len(targets)) if room[j] >= demand]
+        if not fitting:
             return None
-        ints = np.concatenate([self.tables[k][0] for k in targets], axis=1)
-        floats = np.concatenate([self.tables[k][1] for k in targets], axis=1)
-        bounds = np.cumsum([0] + [self.tables[k][0].shape[1] for k in targets])
-        before: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        total = 0.0
-        for w in stops:
-            # The windows as the prefilter reads them, loosened by its
-            # tolerance: w's close, and the slack its service takes up.
-            wp = self.waypoints[w - 1]
-            opens, closes = float(wp.window.earliest), wp.window.latest + _SLACK_TOLERANCE_S
-            service = wp.service_duration - _SLACK_TOLERANCE_S
-            # What holds at any distance, then the distances where it does.
-            depart = floats[_DEPART]
-            sel = np.flatnonzero(
-                (floats[_SPARE] >= self.demand[w])
-                & (depart <= closes)
-                & (np.maximum(depart, opens) + service <= floats[_LATEST])
-            )
-            before_nodes, after_nodes = ints[_PREV, sel], ints[_NEXT, sel]
-            needed = np.zeros(self.end + 1, dtype=bool)
-            needed[before_nodes] = needed[after_nodes] = True
-            nodes = np.flatnonzero(needed[:-1])
-            self.dist[nodes] = self.kernel(np.full(len(nodes), w), nodes)
-            to_before, to_after = self.dist[before_nodes], self.dist[after_nodes]
-            cost = to_before + to_after - floats[_ARC, sel]
-            # The cheapest position nearly always fits, so the prefilter's
-            # window test runs here, one position at a time.
-            for j in _cheapest_first(cost):
-                at = int(sel[j])
-                begin = max(float(depart[at] + to_before[j] / self.speed), opens)
-                if begin > closes or begin + service + to_after[j] / self.speed > floats[_LATEST, at]:
-                    continue
-                slot = int(np.searchsorted(bounds, at, side="right")) - 1
-                k = targets[slot]
-                table = self.tables[k]
-                if self.insert(k, at - int(bounds[slot]), w, float(to_before[j]), float(to_after[j])):
-                    before.setdefault(k, table)
-                    total += float(cost[j])
-                    break
-            else:  # w fits nowhere
-                self.tables.update(before)
-                return None
-            if total > length + _LENGTH_TOLERANCE_M:
-                self.tables.update(before)
-                return None
-            a, b = bounds[slot], bounds[slot + 1]
-            ints = np.concatenate((ints[:, :a], self.tables[k][0], ints[:, b:]), axis=1)
-            floats = np.concatenate((floats[:, :a], self.tables[k][1], floats[:, b:]), axis=1)
-            bounds[slot + 1 :] += 1
+        nodes = np.concatenate([[0]] + [after[j][:-1] for j in fitting])
+        dist[nodes] = kernel(np.full(len(nodes), w), nodes)
+        cost = np.concatenate([dist[before[j]] + dist[after[j]] - arcs[j] for j in fitting])
+        bounds = list(itertools.accumulate((len(before[j]) for j in fitting), initial=0))
+        for i in np.argsort(cost, kind="stable").tolist():
+            slot = bisect.bisect_right(bounds, i) - 1
+            j, p = fitting[slot], i - bounds[slot]
+            ids = targets[j].stop_ids
+            trial = Route(targets[j].vehicle_id, targets[j].depot_pickup_time, tuple(
+                StopVisit(s, 0.0, 0.0) for s in ids[:p] + (w,) + ids[p:]
+            ))
+            try:
+                targets[j] = propagate_schedule(trial, instance, trial.depot_pickup_time)
+            except InfeasibleSequenceError:
+                continue
+            arcs[j] = np.concatenate((arcs[j][:p], dist[[before[j][p], after[j][p]]], arcs[j][p + 1 :]))
+            before[j] = np.insert(before[j], p + 1, w)
+            after[j] = np.insert(after[j], p, w)
+            room[j] -= demand
+            total += float(cost[i])
+            break
+        else:  # w fits nowhere
+            return None
         if total > length:
-            self.tables.update(before)
             return None
-        return before
+    return targets
 
 
 def _empty_seam_routes(
@@ -452,7 +323,7 @@ def _empty_seam_routes(
         spare[g] += capacity[k] - load[k]
     lightest = lambda k: (load[k], routes[k].vehicle_id)  # noqa: E731
     candidates = sorted((min(ks, key=lightest) for ks in by_group), key=lightest)
-    positions = None
+    kernel = None
     alive = [True] * len(routes)
     for c in candidates:
         g = group[c]
@@ -462,28 +333,23 @@ def _empty_seam_routes(
         )[:2]
         if spare[g] + sum(spare[h] for h in near) - (capacity[c] - load[c]) < load[c]:
             continue
-        if positions is None:
-            # Only a candidate, or a route with room for the least demand,
-            # can change.
-            least = min(demand[1:])
-            spares = [capacity[k] - load[k] for k in range(len(routes))]
-            changeable = {k: r for k, r in enumerate(routes) if spares[k] >= least or k in candidates}
-            positions = _Positions(instance, changeable, spares, demand)
+        if kernel is None:
+            kernel = HaversineKernel([instance.depot.location] + [w.location for w in instance.waypoints])
+        # a route without room for the least demand takes no stop
+        least = min(demand[w] for w in routes[c].stop_ids)
         targets = sorted(
-            (k for h in (g, *near) for k in by_group[h] if alive[k] and k != c),
+            (k for h in (g, *near) for k in by_group[h] if alive[k] and k != c and capacity[k] - load[k] >= least),
             key=lambda k: routes[k].vehicle_id,
         )
-        changed = positions.reinsert(c, targets)
-        if changed is None:
+        placed = _reinsert(instance, kernel, routes[c], [routes[k] for k in targets], [capacity[k] - load[k] for k in targets])
+        if placed is None:
             continue
-        for k in changed:
-            route = Route(routes[k].vehicle_id, routes[k].depot_pickup_time, tuple(
-                StopVisit(w, 0.0, 0.0) for w in positions.tables[k][0][_NEXT, :-1].tolist()
-            ))
-            routes[k] = propagate_schedule(route, instance, route.depot_pickup_time)
-            moved = capacity[k] - int(positions.tables[k][1][_SPARE, 0]) - load[k]
-            load[k] += moved
-            spare[group[k]] -= moved
+        for k, route in zip(targets, placed):
+            if route is not routes[k]:
+                moved = sum(demand[w] for w in route.stop_ids) - load[k]
+                load[k] += moved
+                spare[group[k]] -= moved
+                routes[k] = route
         alive[c] = False
         spare[g] -= capacity[c] - load[c]
     if all(alive):

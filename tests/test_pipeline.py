@@ -601,42 +601,6 @@ def test_seam_pass_leaves_monolithic_at_its_capacity_bound():
     assert seam_pass(instance, members, before) is before
 
 
-def test_position_replay_agrees_with_propagate_schedule():
-    # Mixed windows, so that many insertions break one.
-    instance = generate_instance(GeneratorConfig(n_waypoints=300, seed=3, window_style=WindowStyle.MIXED))
-    plan = solve_cvrptw(instance, SolverParams(time_limit_ms=50))
-    routes = list(plan.routes)
-    demand = [0] + [w.demand for w in instance.waypoints]
-    positions = pipeline._Positions(instance, dict(enumerate(routes)), [30] * len(routes), demand)
-    place = lambda w: instance.depot.location if w == 0 else instance.waypoint(w).location
-    rng = np.random.default_rng(0)
-    accepted = 0
-    for _ in range(400):
-        k = int(rng.integers(len(routes)))
-        ids = routes[k].stop_ids
-        p = int(rng.integers(len(ids) + 1))
-        w = int(rng.integers(1, instance.n_waypoints + 1))
-        if w in ids:
-            continue
-        prev = ids[p - 1] if p else 0
-        to_after = haversine_distance(place(w), place(ids[p])) if p < len(ids) else 0.0
-        stops = tuple(StopVisit(i, 0.0, 0.0) for i in ids[:p] + (w,) + ids[p:])
-        try:
-            timed = propagate_schedule(Route(routes[k].vehicle_id, routes[k].depot_pickup_time, stops), instance)
-        except InfeasibleSequenceError:
-            timed = None
-        table = positions.tables[k]
-        assert positions.insert(k, p, w, haversine_distance(place(prev), place(w)), to_after) == (timed is not None)
-        if timed is not None:
-            accepted += 1
-            nodes, floats = positions.tables[k]
-            assert nodes[pipeline._NEXT, :-1].tolist() == list(timed.stop_ids)
-            assert floats[pipeline._ARRIVE, :-1].tolist() == [s.arrival_time for s in timed.stops]
-            assert floats[pipeline._DEPART, 1:].tolist() == [s.departure_time for s in timed.stops]
-            positions.tables[k] = table
-    assert 20 < accepted < 380
-
-
 def plain_seam_pass(instance, members, plan):
     """The seam pass by its rule alone: every position priced with the
     scalar haversine_distance and checked with propagate_schedule."""
@@ -670,6 +634,8 @@ def plain_seam_pass(instance, members, plan):
         if sum(spare(routes[k]) for k in targets) < load(routes[c]):
             continue
         trial = {k: routes[k] for k in targets}
+        path = (0,) + routes[c].stop_ids
+        length = sum(d(u, v) for u, v in zip(path, path[1:]))
         total = 0.0
         for w in routes[c].stop_ids:
             best = None
@@ -682,7 +648,7 @@ def plain_seam_pass(instance, members, plan):
                     cost = d(prev, w) + d(w, ids[p]) - d(prev, ids[p]) if p < len(ids) else d(prev, w)
                     stops = tuple(StopVisit(i, 0.0, 0.0) for i in ids[:p] + (w,) + ids[p:])
                     try:
-                        timed = propagate_schedule(Route(trial[k].vehicle_id, trial[k].depot_pickup_time, stops), instance)
+                        timed = propagate_schedule(Route(trial[k].vehicle_id, 0.0, stops), instance, trial[k].depot_pickup_time)
                     except InfeasibleSequenceError:
                         continue
                     if best is None or cost < best[0]:
@@ -691,12 +657,12 @@ def plain_seam_pass(instance, members, plan):
                 break
             total += best[0]
             trial[best[1]] = best[2]
+            if total > length:
+                break
         else:
-            ids = (0,) + routes[c].stop_ids
-            if total <= sum(d(u, v) for u, v in zip(ids, ids[1:])):
-                for k, route in trial.items():
-                    routes[k] = route
-                alive[c] = False
+            for k, route in trial.items():
+                routes[k] = route
+            alive[c] = False
     return RoutePlan(tuple(r for k, r in enumerate(routes) if alive[k]))
 
 
