@@ -23,6 +23,7 @@ from .dbscan import SpanningTree, dbscan, spanning_tree
 # pairwise_meters is not called here; it stays bound because
 # perfbench/tracer.py wraps this module's calls into the dbscan layer.
 from .geo import GeoPoint, haversine_distance, pairwise_meters  # noqa: F401
+from .model import _whole
 
 # Beyond this depth the decomposition is assumed to be stuck on pathological
 # input (for example large blocks of coincident points).
@@ -58,6 +59,8 @@ class ClusterConfig:
     min_cluster_size: int = 35
 
     def __post_init__(self) -> None:
+        for name in ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size"):
+            object.__setattr__(self, name, _whole(getattr(self, name), name))
         if self.min_radius < 0:
             raise ValueError("min_radius must be non-negative")
         if self.min_radius > self.max_radius:

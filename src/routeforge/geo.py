@@ -11,10 +11,9 @@ pairwise_meters fills a large matrix on every usable CPU: forked children
 fill contiguous row ranges of one shared mapping, each cell through the same
 kernel call, so the array is bit for bit the one-process fill.  fork_join
 starts those children, the pipeline's pre-solve children and the fenced
-child of a budgeted bench run alike.  usable_cpus (the CPU affinity,
-capped by ROUTE_FORGE_THREADS) sizes the fill and the pre-solves, and
-may_fork decides for both whether forking is safe; ROUTE_FORGE_THREADS=1
-keeps both in one process.
+child of a budgeted bench run alike.  usable_cpus (the CPU affinity) sizes
+the fill and the pre-solves, and may_fork decides for both whether forking
+is safe; a process run on one CPU (taskset -c 0) keeps both in process.
 """
 
 from __future__ import annotations
@@ -110,20 +109,12 @@ class HaversineKernel:
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on, capped by the ROUTE_FORGE_THREADS
-    environment variable: 0 or less caps at 1, and a value that is not an
-    integer is ignored."""
+    """The number of CPUs this process may run on, or 1 where the platform
+    has no CPU affinity (macOS, Windows), and no safe fork either."""
     try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity, and no safe fork (macOS, Windows)
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
         return 1
-    cap = os.environ.get("ROUTE_FORGE_THREADS")
-    if cap:
-        try:
-            cpus = min(cpus, max(1, int(cap)))
-        except ValueError:
-            pass
-    return cpus
 
 
 def place_on(cpu: int) -> None:

@@ -8,22 +8,19 @@ A sub-solve answers in the instance's own waypoint ids, and its vehicle ids
 are positions among the capacities it was given, so the loop only hands the
 free vehicle at each position to its route.
 
-The sub-solves run ahead of that order on every usable CPU, each against the
-whole fleet.  A sub-solve sees the fleet only through the capacities of the
-vehicles it opens: the greedy construction opens vehicles in id order and
-stops at the one that takes the last waypoint, and the local search only
-moves stops between the routes it was given.  So a pre-solved plan that used
-vehicles 1..k is exactly the plan the in-order solve would find whenever the
-first k free vehicles have the same capacities, in order.  Any other cluster
-is solved again in order against the free pool, once every pre-solve has
-ended, so plans and errors are the same on any number of CPUs.
-
-The pre-solves run in the children of geo.fork_join, as the matrix fill
-does, where geo.may_fork allows: one per usable CPU up to the cluster count,
-child k on the k-th usable CPU.  The children take cluster indices in solve
-order from one task pipe, which the parent writes meanwhile, so the largest
-clusters go first and the rest balance the load; each sends all its outcomes
-back once, at its end.
+Each group is solved first against the whole fleet.  With more than one
+usable CPU and more than one group, and where geo.may_fork allows, those
+pre-solves run in the children of geo.fork_join, as the matrix fill does:
+one per usable CPU up to the group count, child k on the k-th usable CPU.
+The children take group indices in solve order from one task pipe, which
+the parent writes meanwhile, so the largest groups go first and the rest
+balance the load; each sends all its outcomes back once, at its end.
+Otherwise the pre-solves run in process.  The loop then keeps a pre-solved
+outcome when the vehicles it used (1 to its highest busy vehicle, or the
+whole fleet for an infeasible one) match the first free vehicles in
+capacity, in order, and solves the group again against the free pool
+otherwise.  So plans and errors depend only on the groups and the fleet;
+the CPU count only decides which process runs each pre-solve.
 
 Then one seam pass runs in the parent on the loop's plan, for every
 strategy; it sees only that plan, so plans stay the same on any number of
@@ -148,7 +145,7 @@ _INDEX_BYTES = 4
 def _presolve(
     instance: ProblemInstance, members: list[list[int]], params: SolverParams, workers: int
 ) -> list[_SubSolve]:
-    """Every cluster's outcome against the whole fleet, from `workers`
+    """Every group's outcome against the whole fleet, from `workers`
     forked children; see the module docstring."""
     capacities = [v.capacity for v in instance.vehicles]
     source, feed = multiprocessing.Pipe(duplex=False)
@@ -201,23 +198,18 @@ def optimise_clusters(
 def _solve_in_order(
     instance: ProblemInstance, members: list[list[int]], params: SolverParams
 ) -> RoutePlan:
-    """The in-order loop: solve each list of waypoint indices, in order,
-    against the shared pool, and hand the free vehicles out to its routes.
-
-    With more than one usable CPU and more than one list, the lists are
-    pre-solved in forked children first; see the module docstring for why
-    the plan does not depend on it.  One list is solved in process, where
-    the matrix fill (geo.pairwise_meters) uses the usable CPUs instead.
-    A pre-solved outcome is kept when the vehicles it depends on (1..max
-    busy, or the whole fleet for an infeasible solve) are matched in
-    capacity by the first free vehicles; otherwise the list is solved here.
+    """The in-order loop: hand the free vehicles out to each list of
+    waypoint indices, in order, from its pre-solved outcome or from a
+    solve against the free pool; see the module docstring.  One list is
+    pre-solved in process, where the matrix fill (geo.pairwise_meters)
+    uses the usable CPUs instead.
     """
+    fleet_capacities = [v.capacity for v in instance.vehicles]
     workers = min(usable_cpus(), len(members))
     if workers > 1 and may_fork():
         presolved = _presolve(instance, members, params, workers)
     else:
-        presolved = [None] * len(members)
-    fleet_capacities = [v.capacity for v in instance.vehicles]
+        presolved = (_sub_solve(instance, m, fleet_capacities, params) for m in members)
     free = [v.id for v in instance.vehicles]
     routes: list[Route] = []
     for cluster_members, outcome in zip(members, presolved):
@@ -225,14 +217,11 @@ def _solve_in_order(
         if not free:
             raise NoSolutionFoundError(f"vehicle pool exhausted before cluster of size {size}")
         capacities = [fleet_capacities[v - 1] for v in free]
-        if outcome is not None:
-            if isinstance(outcome, InfeasibleError):
-                used = len(fleet_capacities)
-            else:
-                used = max(outcome.busy_vehicles, default=0)
-            if capacities[:used] != fleet_capacities[:used]:
-                outcome = None
-        if outcome is None:
+        if isinstance(outcome, InfeasibleError):
+            used = len(fleet_capacities)
+        else:
+            used = max(outcome.busy_vehicles, default=0)
+        if capacities[:used] != fleet_capacities[:used]:
             outcome = _sub_solve(instance, cluster_members, capacities, params)
         if isinstance(outcome, InfeasibleError):
             raise NoSolutionFoundError(f"sub-solve infeasible for cluster of size {size}: {outcome}") from outcome

@@ -16,8 +16,8 @@ geo.pairwise_meters, the fill of the package's one array distance kernel,
 so every cell equals the scalar geo.haversine_distance to the last bit and
 plans keep the exact bits they had when each cell was one scalar call.
 For a large matrix outside a pre-solve child the fill runs on every usable
-CPU, and ROUTE_FORGE_THREADS=1 keeps it in one process; the cells are the
-same either way.  The solver does not validate its plans;
+CPU, and on one CPU (taskset -c 0) in one process; the cells are the same
+either way.  The solver does not validate its plans;
 pipeline.run_strategy validates the plan it returns.
 
 The local search keeps a table of every stop's position in its route and
@@ -45,6 +45,7 @@ from .model import (
     Route,
     RoutePlan,
     StopVisit,
+    _whole,
 )
 
 # Not called here: solve_cvrptw leaves validation to pipeline.run_strategy.
@@ -97,6 +98,7 @@ class SolverParams:
     def __post_init__(self) -> None:
         if not self.optimization_step >= 0:
             raise ValueError("optimization_step must be non-negative")
+        object.__setattr__(self, "time_limit_ms", _whole(self.time_limit_ms, "time_limit_ms"))
         if self.time_limit_ms < 0:
             raise ValueError("time_limit_ms must be non-negative")
 

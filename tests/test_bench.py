@@ -257,7 +257,6 @@ def test_wall_budget_breach_leaves_no_process_behind(monkeypatch, tmp_path):
 
     monkeypatch.setattr(pipeline, "solve_cvrptw", stalled)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
     started = time.monotonic()
     records = run_benchmark(
         sizes=[1_200],

@@ -120,6 +120,12 @@ def test_config_validation():
         ClusterConfig(min_cluster_size=-1)
     with pytest.raises(ValueError, match=r"^min_radius 5 exceeds max_radius 4$"):
         ClusterConfig(min_radius=5, max_radius=4)
+    # every field is a whole number: no NaN, infinity, fraction or bool
+    for name in ("min_radius", "max_radius", "max_cluster_size", "min_cluster_size"):
+        for value in (math.nan, math.inf, -math.inf, 2.5, True):
+            with pytest.raises(ValueError, match=rf"^{name} must be a whole number, got "):
+                ClusterConfig(**{name: value})
+    assert ClusterConfig(max_cluster_size=40.0).max_cluster_size == 40
 
 
 def test_config_defaults():

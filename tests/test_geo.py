@@ -341,18 +341,8 @@ def test_one_process_fill_needs_no_fork_context(monkeypatch):
 
 
 def test_usable_cpus_env(monkeypatch):
-    # ROUTE_FORGE_THREADS caps the affinity count; 0 or less caps at 1, and
-    # a value that is not an integer is ignored.
+    # The affinity count, or 1 where the platform has no CPU affinity.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "1")
-    assert geo.usable_cpus() == 1
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "8")
     assert geo.usable_cpus() == 4
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "garbage")
-    assert geo.usable_cpus() == 4
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "0")
+    monkeypatch.delattr(os, "sched_getaffinity")
     assert geo.usable_cpus() == 1
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "-3")
-    assert geo.usable_cpus() == 1
-    monkeypatch.delenv("ROUTE_FORGE_THREADS")
-    assert geo.usable_cpus() == 4

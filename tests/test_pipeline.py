@@ -236,10 +236,17 @@ def test_recursive_strategy_decomposes_large_instance():
 # --- pooled pre-solves against the in-order solve ---
 
 
+def outcome_of(solve) -> str:
+    """The plan JSON of solve(), or its error message."""
+    try:
+        return json.dumps(plan_to_dict(solve()))
+    except NoSolutionFoundError as exc:
+        return f"NoSolutionFoundError: {exc}"
+
+
 def solve_pooled_and_serial(monkeypatch, solve):
     """Outcome of solve() and its in-process sub-solve count with a
-    two-worker pool, then with one usable CPU.  An outcome is the plan JSON
-    or the error message."""
+    two-worker pool, then with one usable CPU."""
     solves = []
 
     def counted(sub, params):
@@ -247,16 +254,11 @@ def solve_pooled_and_serial(monkeypatch, solve):
         return solve_cvrptw(sub, params)
 
     monkeypatch.setattr(pipeline, "solve_cvrptw", counted)
-    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
     runs = []
     for cpus in ({0, 1}, {0}):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
         solves.clear()
-        try:
-            outcome = json.dumps(plan_to_dict(solve()))
-        except NoSolutionFoundError as exc:
-            outcome = f"NoSolutionFoundError: {exc}"
-        runs.append((outcome, len(solves)))
+        runs.append((outcome_of(solve), len(solves)))
     return runs
 
 
@@ -429,8 +431,7 @@ def test_daemonic_caller_fills_the_matrix_in_process(monkeypatch):
 
 
 def test_thread_cap_solves_in_process(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setenv("ROUTE_FORGE_THREADS", "1")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     solves = []
 
     def counted(sub, params):
@@ -445,7 +446,6 @@ def test_thread_cap_solves_in_process(monkeypatch):
 def test_caller_running_a_second_thread_solves_in_process(monkeypatch):
     # A fork would copy whatever locks the other thread holds.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
     solves = []
 
     def counted(sub, params):
@@ -499,7 +499,6 @@ def stall_parent(monkeypatch):
 @pytest.mark.parametrize("failure", ["child exits 3", "parent interrupted", "cluster infeasible"])
 def test_failed_solve_leaves_no_child(monkeypatch, failure):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
     started = time.perf_counter()
     if failure == "child exits 3":
         monkeypatch.setattr(pipeline, "solve_cvrptw", exit_in_child(3))
@@ -709,33 +708,26 @@ def test_seam_pass_never_adds_vehicles_or_distance(seed, windows, n, margin, cap
     instance = replace(instance, vehicles=tuple(Vehicle(j, 30) for j in range(1, bound + margin + 1)))
     config = ClusterConfig(max_cluster_size=cap)
     for strategy in Strategy:
-        # A failed solve is skipped: which error it raises can depend on
-        # the CPU count (the xfail test below).
         try:
             _, before, after = loop_and_pass_plans(instance, strategy, config)
-        except NoSolutionFoundError:
-            continue
-        assert validate_solution(after, instance) == []
-        assert len(after.busy_vehicles) <= len(before.busy_vehicles)
-        assert evaluate_objective(after, instance) <= evaluate_objective(before, instance) + 1e-6
+        except NoSolutionFoundError as exc:
+            outcome = f"NoSolutionFoundError: {exc}"
+        else:
+            assert validate_solution(after, instance) == []
+            assert len(after.busy_vehicles) <= len(before.busy_vehicles)
+            assert evaluate_objective(after, instance) <= evaluate_objective(before, instance) + 1e-6
+            outcome = json.dumps(plan_to_dict(after))
+        # the same plan or the same error on one CPU
         with pytest.MonkeyPatch.context() as mp:
-            mp.setenv("ROUTE_FORGE_THREADS", "1")
-            try:
-                serial = run_strategy(instance, strategy, cluster_config=config).plan
-            except NoSolutionFoundError:
-                continue
-        assert plan_to_dict(after) == plan_to_dict(serial)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+            assert outcome_of(lambda: run_strategy(instance, strategy, cluster_config=config).plan) == outcome
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the pre-solve keep check reads the highest busy vehicle, but the construction "
-    "may have opened a later one that the local search emptied",
-)
-def test_pooled_error_equals_serial_error_after_a_presolve_emptied_its_last_vehicle(monkeypatch):
+def test_pool_error_after_a_presolve_emptied_its_last_vehicle_equals_serial_error(monkeypatch):
     # DBSCAN's cluster of 16 pre-solves on vehicles 1-3 of the 7, and its
-    # local search empties vehicle 3; only 2 are free when its turn comes,
-    # so the in-order solve is infeasible, but the pre-solved plan is kept.
+    # local search empties vehicle 3, so the plan is busy on 1-2.  Only 2
+    # are free when its turn comes; the plan is kept on any number of CPUs,
+    # and the pool runs dry before the cluster of 9.
     instance = generate_instance(GeneratorConfig(n_waypoints=73, seed=8158, window_style=WindowStyle.MIXED))
     bound = math.ceil(sum(w.demand for w in instance.waypoints) / 30)
     instance = replace(instance, vehicles=tuple(Vehicle(j, 30) for j in range(1, bound + 1)))
@@ -743,7 +735,7 @@ def test_pooled_error_equals_serial_error_after_a_presolve_emptied_its_last_vehi
     (pooled, _), (serial, _) = solve_pooled_and_serial(
         monkeypatch, lambda: run_strategy(instance, Strategy.DBSCAN, cluster_config=config).plan
     )
-    assert serial.endswith("1 waypoints cannot be assigned: [48]")
+    assert serial == "NoSolutionFoundError: vehicle pool exhausted before cluster of size 9"
     assert pooled == serial
 
 
@@ -761,7 +753,6 @@ def drain(queue) -> list:
     len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2, reason="needs 2 usable CPUs"
 )
 def test_pool_workers_start_on_distinct_cpus(monkeypatch):
-    monkeypatch.delenv("ROUTE_FORGE_THREADS", raising=False)
     allowed = os.sched_getaffinity(0)
     calls = multiprocessing.get_context("fork").SimpleQueue()
     set_affinity = os.sched_setaffinity

@@ -147,6 +147,10 @@ def test_params_validation():
         SolverParams(optimization_step=math.nan)
     with pytest.raises(ValueError):
         SolverParams(time_limit_ms=-1)
+    for value in (math.nan, math.inf, -math.inf, 2.5, True):
+        with pytest.raises(ValueError, match=r"^time_limit_ms must be a whole number, got "):
+            SolverParams(time_limit_ms=value)
+    assert SolverParams(time_limit_ms=500.0).time_limit_ms == 500
     with pytest.raises(TypeError):
         SolverParams(1.0, 5000)  # keyword only: no field order to shift
 

@@ -30,7 +30,13 @@ which shows the waypoint ids the error names.  The case n3000_s1_cap250
 passes --max-cluster-size 250 to every cluster and solve command on the
 wide-window instance of N = 3000 and seed 1.  At that cap the recursive
 decomposition cuts clusters down to depth 15, and DBSCAN writes an
-error_dbscan.txt because the vehicle pool runs dry.  Last, it writes
+error_dbscan.txt because the vehicle pool runs dry.  The case
+n73_s8158_mixed_cap40 passes --max-cluster-size 40 to every cluster and
+solve command on the mixed-window instance of N = 73 and seed 8158, whose
+default fleet of 7 sits on the capacity bound: every strategy writes an
+error_{strategy}.txt.  DBSCAN's cluster of 16 is solved on vehicles 1-3
+against the whole fleet and busy on 1-2, so the error names the cluster of
+9 that finds the pool empty.  Last, it writes
 
     OUT_DIR/bench.csv                  routeforge bench --sizes 300,200 --reps 2
     OUT_DIR/bench_unfenced.csv         the same with --no-budget
@@ -45,7 +51,12 @@ Nothing that varies run to run (the solve line with its wall time) is
 written.  It solves with the ``routeforge`` package found on the import
 path, so running it once with the parent commit's ``src`` and once with the
 change's, then ``diff -r`` of the two trees, shows whether the change kept
-every output.  One run takes about two minutes on a 2-vCPU machine.
+every output.  One run takes about two minutes on a 2-vCPU machine.  Plans
+and errors must not depend on the CPU count: a second run on one CPU,
+
+    PYTHONPATH=src taskset -c 0 python3 tools/identity_outputs.py OUT_DIR_1CPU
+
+must give a tree that ``diff -r`` finds equal to the default run's.
 
 Where a change may move floats in their last bits but must keep every
 route, or moves some plans on purpose, compare the two trees instead of
@@ -90,6 +101,9 @@ SHORT_FLEET = (1000, 0, 84)
 # (size, seed, cluster size cap): a cap that makes the decomposition recurse
 # deep
 SMALL_CAP = (3000, 1, 250)
+# (size, seed, cluster size cap) with mixed windows: a fleet on its capacity
+# bound, where DBSCAN runs out of vehicles
+BOUND_FLEET = (73, 8158, 40)
 
 
 def _run(cli, argv: list[str], codes: tuple[int, ...] = (0,)) -> tuple[int, str]:
@@ -232,6 +246,9 @@ def main(argv: list[str]) -> int:
     n, seed, cap = SMALL_CAP
     cluster_flags = ("--max-cluster-size", str(cap))
     _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_cap{cap}"), n, seed, "wide", cluster_flags=cluster_flags)
+    n, seed, cap = BOUND_FLEET
+    cluster_flags = ("--max-cluster-size", str(cap))
+    _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_mixed_cap{cap}"), n, seed, "mixed", cluster_flags=cluster_flags)
     _bench(cli, argv[0], "bench.csv")
     _bench(cli, argv[0], "bench_unfenced.csv", ("--no-budget",))
     return 0
