@@ -98,9 +98,13 @@ class ClusterSet:
 
 
 def _centroid(points: Sequence[GeoPoint], members: Sequence[int]) -> GeoPoint:
+    """The mean latitude and longitude of the members, each longitude moved
+    by 360 to within 180 of the first member's and the mean wrapped into
+    [-180, 180], so that a cluster across lon 180 keeps its centroid there."""
     lat = sum(points[i].lat for i in members) / len(members)
-    lon = sum(points[i].lon for i in members) / len(members)
-    return GeoPoint(lat, lon)
+    first = points[members[0]].lon
+    lon = sum(points[i].lon - 360.0 * round((points[i].lon - first) / 360.0) for i in members) / len(members)
+    return GeoPoint(lat, lon - 360.0 * round(lon / 360.0))
 
 
 def _make_cluster(

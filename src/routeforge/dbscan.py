@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .geo import GeoPoint, HaversineKernel, check_coordinate
+from .geo import GeoPoint, HaversineKernel
 
 # No package code branches on this point count: every probe cuts the spanning
 # tree at any size.  It stays bound because perfbench/tracer.py reads it to
@@ -146,8 +146,6 @@ def spanning_tree(points: Sequence[GeoPoint]) -> SpanningTree:
     n = len(points)
     if n == 0:
         raise EmptyInputError("cannot build a spanning tree over an empty point set")
-    for k, p in enumerate(points):
-        check_coordinate(p, f"point {k}")
     kernel = HaversineKernel(points)
     lat, lon = kernel.lat, kernel.lon
     by_spot = np.lexsort((lon, lat))  # stable: the lowest index leads each spot

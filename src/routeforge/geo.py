@@ -7,25 +7,27 @@ A distance makes three libm calls (two math.sin, one math.asin); the squares
 of the half-difference sines are IEEE products, correctly rounded in Python
 and numpy alike.
 
-pairwise_meters fills a large matrix on every usable CPU: forked children
-fill contiguous row ranges of one shared mapping, each cell through the same
-kernel call, so the array is bit for bit the one-process fill.  fork_join
-starts those children, the pipeline's pre-solve children and the fenced
-child of a budgeted bench run alike.  usable_cpus (the CPU affinity) sizes
-the fill and the pre-solves, and may_fork decides for both whether forking
-is safe; a process run on one CPU (taskset -c 0) keeps both in process.
+fork_map is the one way the package shares work across processes: the
+matrix fill's row blocks and the pipeline's pre-solves alike go to forked
+children, one per usable CPU (the CPU affinity) up to the task count, that
+take task indices in order from one pipe.  may_fork decides for both
+whether forking is safe, and a process run on one CPU (taskset -c 0) runs
+every task in process.  Each fill cell goes through the same kernel call
+wherever it runs, so the array is bit for bit the one-process fill.
+fork_join starts those children and the fenced child of a budgeted bench
+run.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 import multiprocessing
 import os
 import threading
 from dataclasses import dataclass
-from functools import partial
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -86,14 +88,19 @@ class HaversineKernel:
     math.sin twice and math.asin once, run through map over Python floats,
     so every libm call gets the scalar kernel's argument.  lat holds the
     latitudes in radians, lon the longitudes in degrees and cos_lat math.cos
-    of lat: the values every cell reads.  Coordinates must pass check_coordinate, so that the haversine
-    term is never negative.
+    of lat: the values every cell reads.  The first point k that fails
+    check_coordinate raises its ValueError, naming it "point k".
     """
 
     def __init__(self, points: Sequence[GeoPoint]):
         n = len(points)
-        self.lat = np.radians(np.fromiter((p.lat for p in points), dtype=np.float64, count=n))
+        lat = np.fromiter((p.lat for p in points), dtype=np.float64, count=n)
         self.lon = np.fromiter((p.lon for p in points), dtype=np.float64, count=n)
+        bad = ~((np.abs(lat) <= 90.0) & (np.abs(self.lon) <= 180.0))  # NaN too
+        if bad.any():
+            k = int(np.argmax(bad))
+            check_coordinate(points[k], f"point {k}")
+        self.lat = np.radians(lat)
         self.cos_lat = np.fromiter(map(math.cos, self.lat.tolist()), dtype=np.float64, count=n)
 
     def __call__(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -147,8 +154,8 @@ def fork_join(here: Callable[[], None], jobs: Sequence[tuple[str, Optional[int],
     its child's own pipe (None if it sent none).  Every child is joined, or
     terminated when this process fails first; one that exits non-zero, or
     is killed by a signal, raises RuntimeError "{name} exited with code
-    {code}".  The matrix fill and the pre-solves check may_fork() first.
-    Without jobs, no fork context is used."""
+    {code}".  fork_map checks may_fork() first.  Without jobs, no fork
+    context is used."""
     if not jobs:
         here()
         return []
@@ -187,20 +194,64 @@ def _run_job(cpu: Optional[int], job: Callable[[], Any], out) -> None:
     out.send(job())
 
 
-def _fill_workers(cells: int) -> int:
-    """How many processes fill `cells` upper-triangle cells.  One, unless
-    the fill is large enough to pay for a fork and may_fork() holds."""
-    if cells < _FORK_MIN_CELLS or not may_fork():
-        return 1
-    return usable_cpus()
+# Bytes per task index on fork_map's task pipe.
+_INDEX_BYTES = 4
 
 
-def _row_ranges(n: int, parts: int) -> list[tuple[int, int]]:
-    """Rows 0..n-2 of the upper triangle as `parts` contiguous [lo, hi)
-    ranges of about equal cell count; the last ones may be empty."""
-    before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))  # cells in rows < r
-    bounds = np.searchsorted(before, before[-1] * np.arange(parts + 1) / parts).tolist()
-    return list(zip(bounds, bounds[1:]))
+def _fork_workers(count: int) -> int:
+    """How many children fork_map starts for `count` tasks: one per usable
+    CPU up to `count` if that is more than one and may_fork(), else none."""
+    workers = min(usable_cpus(), count)
+    return workers if workers > 1 and may_fork() else 0
+
+
+def fork_map(name: str, job: Callable[[int], Any], count: int) -> Iterable[Any]:
+    """job(i) for every i in range(count), in index order.
+
+    Where _fork_workers gives W children, fork_join starts them, child k on
+    the k-th usable CPU.  They take indices in order from one task pipe
+    that this process writes, and each sends its results back once, at its
+    end; this process computes nothing meanwhile.  A failed child raises
+    RuntimeError "{name} child k of W exited with code C".  Otherwise the
+    result is a lazy map: job(i) runs in this process when the caller
+    reads the i-th result.
+    """
+    return _fork_map(name, job, count, _fork_workers(count))
+
+
+def _fork_map(name: str, job: Callable[[int], Any], count: int, workers: int) -> Iterable[Any]:
+    """fork_map on `workers` children, as _fork_workers(count) gave them."""
+    if not workers:
+        return map(job, range(count))
+    source, feed = multiprocessing.Pipe(duplex=False)
+
+    def drain() -> list[tuple[int, Any]]:
+        """Run the tasks whose indices the pipe holds.  The parent writes
+        whole indices, and a pipe read holds the pipe's lock, so each read
+        takes one whole index."""
+        feed.close()  # the pipe ends once the parent closes its write end
+        done = []
+        while record := os.read(source.fileno(), _INDEX_BYTES):
+            index = int.from_bytes(record, "little")
+            done.append((index, job(index)))
+        return done
+
+    def write_tasks() -> None:
+        source.close()  # every child holds its own copy by now
+        tasks = memoryview(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(count)))
+        while tasks:
+            tasks = tasks[os.write(feed.fileno(), tasks) :]
+        feed.close()
+
+    cpus = sorted(os.sched_getaffinity(0))
+    jobs = [(f"{name} child {k} of {workers}", cpus[k % len(cpus)], drain) for k in range(workers)]
+    try:
+        sent = fork_join(write_tasks, jobs)
+    finally:
+        source.close()
+        feed.close()
+    found = dict(itertools.chain.from_iterable(sent))
+    return [found[i] for i in range(count)]
 
 
 def _fill_upper(kernel: HaversineKernel, flat: np.ndarray, n: int, lo: int, hi: int) -> None:
@@ -223,34 +274,24 @@ def pairwise_meters(points: Sequence[GeoPoint]) -> np.ndarray:
     to the last bit, with 0.0 on the diagonal.
 
     HaversineKernel fills the upper triangle, and adding the transpose
-    mirrors it exactly, because x + 0.0 == x.  The upper triangle is split
-    into contiguous row ranges of equal cell count, one per process (see
-    _fill_workers): this process fills the first on the first usable CPU,
-    and fork_join's children fill the rest, on the next CPUs, into one
-    shared anonymous mapping.  The kernel is elementwise, so every cell is
-    the same float whatever the split.  A failed child raises RuntimeError.
+    mirrors it exactly, because x + 0.0 == x.  fork_map shares out the
+    upper triangle as blocks of whole rows of about _UPPER_BLOCK cells,
+    which forked children fill into one shared anonymous mapping.  A
+    triangle under _FORK_MIN_CELLS is one task, filled in process.  The
+    kernel is elementwise, so every cell is the same float whichever
+    process fills it.  A failed child raises RuntimeError.
     """
     n = len(points)
     kernel = HaversineKernel(points)
-    own, *rest = _row_ranges(n, _fill_workers(n * (n - 1) // 2))
-    rest = [(lo, hi) for lo, hi in rest if lo < hi]
+    step = max(1, _UPPER_BLOCK // max(n, 1)) if n * (n - 1) // 2 >= _FORK_MIN_CELLS else n
+    blocks = [(lo, min(lo + step, n - 1)) for lo in range(0, n - 1, step)]
     # Children write into a shared anonymous mapping; it starts zeroed, as
-    # np.zeros does.
-    out = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=np.float64).reshape(n, n) if rest else np.zeros((n, n))
+    # np.zeros does.  In process, np.zeros raises MemoryError where the
+    # address space runs out, as a fenced bench run expects.
+    workers = _fork_workers(len(blocks))
+    out = np.frombuffer(mmap.mmap(-1, n * n * 8), dtype=np.float64).reshape(n, n) if workers else np.zeros((n, n))
     flat = out.reshape(-1)
-    cpus = sorted(os.sched_getaffinity(0)) if rest else []
-    fill = partial(_fill_upper, kernel, flat, n)
-
-    def fill_own() -> None:
-        if cpus:
-            place_on(cpus[0])
-        fill(*own)
-
-    jobs = [
-        (f"pairwise_meters: the child filling rows {lo}..{hi - 1}", cpus[k % len(cpus)], partial(fill, lo, hi))
-        for k, (lo, hi) in enumerate(rest, start=1)
-    ]
-    fork_join(fill_own, jobs)
+    list(_fork_map("pairwise_meters", lambda k: _fill_upper(kernel, flat, n, *blocks[k]), len(blocks), workers))
     # Block by rows so that the transpose's copy stays small: rows a..b
     # read only columns a..b, which no earlier block wrote.
     for a in range(0, n, _MIRROR_BLOCK):

@@ -8,19 +8,16 @@ A sub-solve answers in the instance's own waypoint ids, and its vehicle ids
 are positions among the capacities it was given, so the loop only hands the
 free vehicle at each position to its route.
 
-Each group is solved first against the whole fleet.  With more than one
-usable CPU and more than one group, and where geo.may_fork allows, those
-pre-solves run in the children of geo.fork_join, as the matrix fill does:
-one per usable CPU up to the group count, child k on the k-th usable CPU.
-The children take group indices in solve order from one task pipe, which
-the parent writes meanwhile, so the largest groups go first and the rest
-balance the load; each sends all its outcomes back once, at its end.
-Otherwise the pre-solves run in process.  The loop then keeps a pre-solved
-outcome when the vehicles it used (1 to its highest busy vehicle, or the
-whole fleet for an infeasible one) match the first free vehicles in
-capacity, in order, and solves the group again against the free pool
-otherwise.  So plans and errors depend only on the groups and the fleet;
-the CPU count only decides which process runs each pre-solve.
+Each group is solved first against the whole fleet, one geo.fork_map task
+per group in solve order: in forked children, one per usable CPU up to the
+group count, where more than one CPU and more than one group allow it, so
+the largest groups go first and the rest balance the load; otherwise in
+process, each just before the loop reaches it.  The loop then keeps a
+pre-solved outcome when the vehicles it used (1 to its highest busy
+vehicle, or the whole fleet for an infeasible one) match the first free
+vehicles in capacity, in order, and solves the group again against the
+free pool otherwise.  So plans and errors depend only on the groups and
+the fleet; the CPU count only decides which process runs each pre-solve.
 
 Then one seam pass runs in the parent on the loop's plan, for every
 strategy; it sees only that plan, so plans stay the same on any number of
@@ -53,8 +50,6 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import multiprocessing
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -71,7 +66,7 @@ from .clusterer import (
     cluster_order,
     recursive_dbscan,
 )
-from .geo import GeoPoint, HaversineKernel, fork_join, haversine_distance, may_fork, usable_cpus
+from .geo import GeoPoint, HaversineKernel, fork_map, haversine_distance
 from .model import (
     InfeasibleSequenceError,
     ProblemInstance,
@@ -138,47 +133,6 @@ def _sub_solve(
 # A sub-solve's plan, or why it was infeasible.
 _SubSolve = Union[RoutePlan, InfeasibleError]
 
-# Bytes per cluster index on the pre-solve task pipe.
-_INDEX_BYTES = 4
-
-
-def _presolve(
-    instance: ProblemInstance, members: list[list[int]], params: SolverParams, workers: int
-) -> list[_SubSolve]:
-    """Every group's outcome against the whole fleet, from `workers`
-    forked children; see the module docstring."""
-    capacities = [v.capacity for v in instance.vehicles]
-    source, feed = multiprocessing.Pipe(duplex=False)
-
-    def drain() -> list[tuple[int, _SubSolve]]:
-        """Pre-solve the clusters whose indices the task pipe holds.  The
-        parent writes whole indices, and a pipe read holds the pipe's lock,
-        so each read takes one whole index."""
-        feed.close()  # the pipe ends once the parent closes its write end
-        outcomes = []
-        while record := os.read(source.fileno(), _INDEX_BYTES):
-            index = int.from_bytes(record, "little")
-            outcomes.append((index, _sub_solve(instance, members[index], capacities, params)))
-        return outcomes
-
-    def write_tasks() -> None:
-        source.close()  # every child holds its own copy by now
-        tasks = memoryview(b"".join(i.to_bytes(_INDEX_BYTES, "little") for i in range(len(members))))
-        while tasks:
-            tasks = tasks[os.write(feed.fileno(), tasks) :]
-        feed.close()
-
-    cpus = sorted(os.sched_getaffinity(0))
-    jobs = [(f"pre-solve child {k} of {workers}", cpus[k], drain) for k in range(workers)]
-    try:
-        sent = fork_join(write_tasks, jobs)
-    finally:
-        source.close()
-        feed.close()
-    found = dict(itertools.chain.from_iterable(sent))
-    return [found[index] for index in range(len(members))]
-
-
 def optimise_clusters(
     clusters: ClusterSet,
     instance: ProblemInstance,
@@ -205,11 +159,9 @@ def _solve_in_order(
     uses the usable CPUs instead.
     """
     fleet_capacities = [v.capacity for v in instance.vehicles]
-    workers = min(usable_cpus(), len(members))
-    if workers > 1 and may_fork():
-        presolved = _presolve(instance, members, params, workers)
-    else:
-        presolved = (_sub_solve(instance, m, fleet_capacities, params) for m in members)
+    presolved = fork_map(
+        "pre-solve", lambda i: _sub_solve(instance, members[i], fleet_capacities, params), len(members)
+    )
     free = [v.id for v in instance.vehicles]
     routes: list[Route] = []
     for cluster_members, outcome in zip(members, presolved):

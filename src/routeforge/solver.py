@@ -15,9 +15,10 @@ cells through per-row memoryviews.  The cells come from
 geo.pairwise_meters, the fill of the package's one array distance kernel,
 so every cell equals the scalar geo.haversine_distance to the last bit and
 plans keep the exact bits they had when each cell was one scalar call.
-For a large matrix outside a pre-solve child the fill runs on every usable
-CPU, and on one CPU (taskset -c 0) in one process; the cells are the same
-either way.  The solver does not validate its plans;
+For a large matrix outside a pre-solve child, geo.fork_map shares the
+fill's row blocks among every usable CPU, and on one CPU (taskset -c 0)
+one process fills them; the cells are the same either way.  The solver
+does not validate its plans;
 pipeline.run_strategy validates the plan it returns.
 
 The local search keeps a table of every stop's position in its route and

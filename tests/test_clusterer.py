@@ -11,6 +11,7 @@ from routeforge.clusterer import (
     Feasibility,
     NoSolutionFoundError,
     RecursionLimitError,
+    _centroid,
     binary_search_clusters,
     cluster_order,
     recursive_dbscan,
@@ -291,6 +292,28 @@ def test_undersized_cluster_merges_into_nearest():
     # near would reach 230, so the small blob folds into the nearest
     # cluster with room: the far one
     assert set(merged.members) == set(range(30)) | set(range(230, 330))
+
+
+def test_centroid_of_a_cluster_across_lon_180_lies_on_the_line():
+    points = [GeoPoint(0.0, 179.999), GeoPoint(0.0, -179.999), GeoPoint(0.0, -179.996)]
+    assert _centroid(points, [0, 1]) == GeoPoint(0.0, 180.0)
+    assert _centroid(points, [1, 0]) == GeoPoint(0.0, -180.0)
+    assert _centroid(points, [0, 1, 2]).lon == pytest.approx((179.999 + 180.001 + 180.004) / 3 - 360.0)
+    # a cluster off the line sums its plain longitudes
+    plain = [GeoPoint(0.0, 179.7), GeoPoint(0.0, 179.9), GeoPoint(0.0, 179.8)]
+    assert _centroid(plain, [0, 1, 2]).lon == (179.7 + 179.9 + 179.8) / 3
+
+
+def test_small_cluster_across_lon_180_merges_into_the_near_group():
+    # ten points on both sides of lon 180, a group 0.1 deg west of it and
+    # one 1.5 deg east
+    points = [GeoPoint(0.0001 * k, 179.999 if k % 2 else -179.999) for k in range(10)]
+    points += [GeoPoint(0.0001 * k, 179.9) for k in range(100)]
+    points += [GeoPoint(0.0001 * k, -178.5) for k in range(100)]
+    cluster_set = recursive_dbscan(points, ClusterConfig())
+    assert sorted(c.members for c in cluster_set.clusters) == [tuple(range(110)), tuple(range(110, 210))]
+    merged = cluster_set.clusters[0]
+    assert merged.centroid.lon == pytest.approx((10 * 180.0 + 100 * 179.9) / 110)
 
 
 def test_merge_refused_when_cap_would_break():

@@ -291,10 +291,18 @@ def test_bad_coordinate_is_a_value_error_naming_the_point(bad):
         lambda: spanning_tree(points),
         lambda: binary_search_clusters(points, ClusterConfig(), Feasibility.MAX_SIZE_CAP),
         lambda: recursive_dbscan(points, ClusterConfig()),
+        lambda: pairwise_meters(points),
+        lambda: HaversineKernel(points),
     ]
     for search in searches:
         with pytest.raises(ValueError, match=r"^point 2 coordinate out of range"):
             search()
+
+
+def test_pairwise_meters_names_the_first_bad_coordinate():
+    points = [GeoPoint(100.0, 0.0), GeoPoint(0.0, 0.0), GeoPoint(math.nan, 3.0)]
+    with pytest.raises(ValueError, match=r"^point 0 coordinate out of range: GeoPoint\(lat=100\.0"):
+        pairwise_meters(points)
 
 
 def test_subtree_across_clusters_rejected():

@@ -189,7 +189,7 @@ def random_points(n: int, seed: int, lat=(22.15, 22.55), lon=(113.85, 114.35)) -
 
 
 def coincident_block(n: int) -> list[GeoPoint]:
-    # three quarters of the points on one spot, spread over every row range
+    # three quarters of the points on one spot, spread over every row block
     points = random_points(n, 3)
     return [GeoPoint(22.3, 114.2) if k % 4 else p for k, p in enumerate(points)]
 
@@ -199,22 +199,22 @@ def across_antimeridian(n: int) -> list[GeoPoint]:
     return [p if k % 2 else GeoPoint(p.lat, -p.lon) for k, p in enumerate(points)]
 
 
-# (name, points, fork threshold or None to keep the real one).  The tiny
-# sizes drop the threshold to 0 so that they are split too.
+# (name, points, tiny).  The tiny sizes drop the threshold to 0 and the
+# block to one row so that they are split too.
 SPLIT_CASES = [
-    *[(f"n{n}", random_points(n, n), 0) for n in range(4)],
-    ("below-threshold", random_points(fork_size() - 1, 5), None),
-    ("at-threshold", random_points(fork_size(), 6), None),
-    ("odd-n2001", random_points(2001, 7), None),
-    ("coincident-block", coincident_block(fork_size() + 40), None),
-    ("across-lon-180", across_antimeridian(fork_size() + 41), None),
-    ("across-lon-180-tiny", across_antimeridian(9), 0),
+    *[(f"n{n}", random_points(n, n), True) for n in range(4)],
+    ("below-threshold", random_points(fork_size() - 1, 5), False),
+    ("at-threshold", random_points(fork_size(), 6), False),
+    ("odd-n2001", random_points(2001, 7), False),
+    ("coincident-block", coincident_block(fork_size() + 40), False),
+    ("across-lon-180", across_antimeridian(fork_size() + 41), False),
+    ("across-lon-180-tiny", across_antimeridian(9), True),
 ]
 
 
 def logged_fill(monkeypatch, points, workers):
     """pairwise_meters(points) with `workers` usable CPUs, and the (pid, lo,
-    hi) row range that each process filled."""
+    hi) row block of each task, with the process that filled it."""
     log = multiprocessing.get_context("fork").SimpleQueue()
     fill = geo._fill_upper
 
@@ -225,18 +225,22 @@ def logged_fill(monkeypatch, points, workers):
     monkeypatch.setattr(geo, "_fill_upper", logged)
     monkeypatch.setattr(geo, "usable_cpus", lambda: workers)
     out = pairwise_meters(points)
-    entries = []
-    while not log.empty():
-        entries.append(log.get())
-    log.close()
-    return out, entries
+    return out, drain_queue(log)
+
+
+def drain_queue(queue) -> list:
+    items = []
+    while not queue.empty():
+        items.append(queue.get())
+    return items
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("name, points, min_cells", SPLIT_CASES, ids=[c[0] for c in SPLIT_CASES])
-def test_split_fill_equals_one_process_fill(monkeypatch, name, points, min_cells, workers):
-    if min_cells is not None:
-        monkeypatch.setattr(geo, "_FORK_MIN_CELLS", min_cells)
+@pytest.mark.parametrize("name, points, tiny", SPLIT_CASES, ids=[c[0] for c in SPLIT_CASES])
+def test_split_fill_equals_one_process_fill(monkeypatch, name, points, tiny, workers):
+    if tiny:
+        monkeypatch.setattr(geo, "_FORK_MIN_CELLS", 0)
+        monkeypatch.setattr(geo, "_UPPER_BLOCK", 1)
     monkeypatch.setattr(geo, "usable_cpus", lambda: 1)
     serial = pairwise_meters(points)
     out, logged = logged_fill(monkeypatch, points, workers)
@@ -244,19 +248,19 @@ def test_split_fill_equals_one_process_fill(monkeypatch, name, points, min_cells
     assert out.shape == serial.shape and out.dtype == serial.dtype
     assert out.tobytes() == serial.tobytes()
     n = len(points)
-    # The ranges are contiguous and cover rows 0..n-2 once.
-    ranges = sorted((lo, hi) for _, lo, hi in logged)
-    assert [lo for lo, _ in ranges[1:]] == [hi for _, hi in ranges[:-1]]
-    assert ranges[0][0] == 0 and ranges[-1][1] == max(n - 1, 0)
-    processes = len({pid for pid, _, _ in logged})
-    cells = n * (n - 1) // 2
-    if workers == 1 or cells < geo._FORK_MIN_CELLS:
-        assert processes == 1
-    elif n > workers:
-        # one range per process, of about equal cell count: within one row
-        assert processes == workers
-        for lo, hi in ranges:
-            assert abs((hi - lo) * (2 * n - lo - hi - 1) // 2 - cells / workers) < n
+    # The blocks are contiguous and cover rows 0..n-2 once.
+    blocks = sorted((lo, hi) for _, lo, hi in logged)
+    if n <= 1:
+        assert blocks == []
+        return
+    assert [lo for lo, _ in blocks[1:]] == [hi for _, hi in blocks[:-1]]
+    assert blocks[0][0] == 0 and blocks[-1][1] == n - 1
+    processes = {pid for pid, _, _ in logged}
+    if workers == 1 or len(blocks) == 1:
+        assert processes == {os.getpid()}
+    else:
+        # the children fill every block, and the parent none
+        assert os.getpid() not in processes and len(processes) <= workers
 
 
 def test_fill_with_a_second_thread_stays_in_process(monkeypatch):
@@ -282,26 +286,118 @@ def test_failed_child_raises_and_leaves_no_process(monkeypatch):
 
     monkeypatch.setattr(geo, "_fill_upper", dying)
     monkeypatch.setattr(geo, "usable_cpus", lambda: 3)
-    n = fork_size() + 100
-    first = geo._row_ranges(n, 3)[1]
-    with pytest.raises(RuntimeError, match=rf"rows {first[0]}\.\.{first[1] - 1} exited with code 3"):
-        pairwise_meters(random_points(n, 9))
+    with pytest.raises(RuntimeError, match=r"^pairwise_meters child [0-2] of 3 exited with code 3$"):
+        pairwise_meters(random_points(fork_size() + 100, 9))
     assert multiprocessing.active_children() == []
 
 
-def test_failed_parent_share_stops_every_child(monkeypatch):
+def stall_parent(monkeypatch, job):
+    """`job`, run in children that take a minute over it, and a parent that
+    is interrupted while it waits for them."""
     parent = os.getpid()
 
-    def stuck_children(kernel, flat, n, lo, hi):
+    def slow(*args):
         if os.getpid() != parent:
             time.sleep(60)
-        raise KeyError("the parent's share failed")
+        return job(*args)
 
-    monkeypatch.setattr(geo, "_fill_upper", stuck_children)
+    def interrupted(self):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("multiprocessing.connection.Connection.recv", interrupted)
+    return slow
+
+
+def test_interrupted_parent_stops_every_fill_child(monkeypatch):
+    monkeypatch.setattr(geo, "_fill_upper", stall_parent(monkeypatch, geo._fill_upper))
     monkeypatch.setattr(geo, "usable_cpus", lambda: 3)
     started = time.perf_counter()
-    with pytest.raises(KeyError, match="parent's share"):
+    with pytest.raises(KeyboardInterrupt):
         pairwise_meters(random_points(fork_size() + 100, 10))
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - started < 30.0
+
+
+def logged_square(log):
+    def job(i):
+        log.put((os.getpid(), i))
+        return i * i, os.getpid()
+
+    return job
+
+
+def fork_map_in_pool_worker(count):
+    """fork_map in a daemonic pool worker, where os.fork now fails."""
+
+    def refused():
+        raise AssertionError("fork_map forked in a daemonic process")
+
+    os.fork = refused
+    return list(geo.fork_map("square", lambda i: (i * i, os.getpid()), count)), os.getpid()
+
+
+def test_fork_map_runs_every_task_in_index_order(monkeypatch):
+    parent = os.getpid()
+    log = multiprocessing.get_context("fork").SimpleQueue()
+    job = logged_square(log)
+    squares = [i * i for i in range(7)]
+    # forked: the children take the tasks in index order, the parent none
+    monkeypatch.setattr(geo, "usable_cpus", lambda: 3)
+    results = geo.fork_map("square", job, 7)
+    assert [r for r, _ in results] == squares
+    started = drain_queue(log)
+    assert sorted(i for _, i in started) == list(range(7))
+    children = {pid for pid, _ in started}
+    assert parent not in children and 1 <= len(children) <= 3
+    for child in children:
+        taken = [i for pid, i in started if pid == child]
+        assert taken == sorted(taken)
+    assert {pid for _, pid in results} == children
+    assert multiprocessing.active_children() == []
+    # in process, each task when its result is read: on one CPU, for one
+    # task, and in a process that runs a second thread
+    monkeypatch.setattr(geo, "usable_cpus", lambda: 1)
+    lazy = iter(geo.fork_map("square", job, 7))
+    assert drain_queue(log) == []
+    assert next(lazy) == (0, parent) and drain_queue(log) == [(parent, 0)]
+    assert list(lazy) == [(i * i, parent) for i in range(1, 7)]
+    monkeypatch.setattr(geo, "usable_cpus", lambda: 3)
+    assert list(geo.fork_map("square", job, 1)) == [(0, parent)]
+    done = threading.Event()
+    other = threading.Thread(target=done.wait)
+    other.start()
+    try:
+        assert list(geo.fork_map("square", job, 7)) == [(i * i, parent) for i in range(7)]
+    finally:
+        done.set()
+        other.join()
+    assert [i for _, i in drain_queue(log)] == list(range(1, 7)) + [0] + list(range(7))
+    # in a daemonic caller
+    with multiprocessing.get_context("fork").Pool(1) as outer:
+        results, worker = outer.apply_async(fork_map_in_pool_worker, (7,)).get(timeout=60)
+    assert results == [(i * i, worker) for i in range(7)]
+    assert list(geo.fork_map("square", job, 0)) == []
+
+
+def test_fork_map_names_a_failed_child_and_leaves_no_process(monkeypatch):
+    parent = os.getpid()
+
+    def dying(i):
+        if os.getpid() != parent:
+            os._exit(3)
+        return i
+
+    monkeypatch.setattr(geo, "usable_cpus", lambda: 2)
+    with pytest.raises(RuntimeError, match=r"^square child [01] of 2 exited with code 3$"):
+        geo.fork_map("square", dying, 5)
+    assert multiprocessing.active_children() == []
+
+
+def test_interrupted_fork_map_stops_every_child(monkeypatch):
+    monkeypatch.setattr(geo, "usable_cpus", lambda: 2)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        geo.fork_map("square", stall_parent(monkeypatch, lambda i: i * i), 5)
     assert multiprocessing.active_children() == []
     assert time.perf_counter() - started < 30.0
 

@@ -36,7 +36,14 @@ solve command on the mixed-window instance of N = 73 and seed 8158, whose
 default fleet of 7 sits on the capacity bound: every strategy writes an
 error_{strategy}.txt.  DBSCAN's cluster of 16 is solved on vehicles 1-3
 against the whole fleet and busy on 1-2, so the error names the cluster of
-9 that finds the pool empty.  Last, it writes
+9 that finds the pool empty.  The case n3000_s1_lon180 is the n3000_s1
+instance with every longitude, the depot's included, moved 65.9 degrees
+east and wrapped into [-180, 180], which rewrites its instance.json: its
+box then straddles lon 180, and every cluster and solve command runs on it
+as on the other cases.  A cluster's centroid averages its longitudes on
+the near side of the line, so this case's plans use the busy vehicles and
+kilometres of n3000_s1's, to the rounding of the moved coordinates.
+Last, it writes
 
     OUT_DIR/bench.csv                  routeforge bench --sizes 300,200 --reps 2
     OUT_DIR/bench_unfenced.csv         the same with --no-budget
@@ -104,6 +111,9 @@ SMALL_CAP = (3000, 1, 250)
 # (size, seed, cluster size cap) with mixed windows: a fleet on its capacity
 # bound, where DBSCAN runs out of vehicles
 BOUND_FLEET = (73, 8158, 40)
+# (size, seed, degrees east): an instance moved until its box straddles
+# lon 180
+ANTIMERIDIAN = (3000, 1, 65.9)
 
 
 def _run(cli, argv: list[str], codes: tuple[int, ...] = (0,)) -> tuple[int, str]:
@@ -126,18 +136,27 @@ def _case(
     capacities: tuple[int, ...] = (),
     flags: tuple[str, ...] = (),
     cluster_flags: tuple[str, ...] = (),
+    east: float = 0.0,
 ) -> None:
     """One case directory; `flags` go to generate, `cluster_flags` to every
-    cluster and solve command."""
-    from routeforge import load_instance, save_instance
+    cluster and solve command, and every longitude moves `east` degrees."""
+    from routeforge import GeoPoint, load_instance, save_instance
 
     os.makedirs(out, exist_ok=True)
     instance = os.path.join(out, "instance.json")
     _run(cli, ["generate", "--n", str(n), "--seed", str(seed), "--windows", windows, *flags, "--out", instance])
+    generated = load_instance(instance)
     if capacities:
-        generated = load_instance(instance)
         fleet = tuple(replace(v, capacity=capacities[v.id % len(capacities)]) for v in generated.vehicles)
         save_instance(replace(generated, vehicles=fleet), instance)
+    if east:
+
+        def moved(item):
+            lon = (item.location.lon + east + 180.0) % 360.0 - 180.0
+            return replace(item, location=GeoPoint(item.location.lat, lon))
+
+        waypoints = tuple(map(moved, generated.waypoints))
+        save_instance(replace(generated, depot=moved(generated.depot), waypoints=waypoints), instance)
     _run(cli, ["cluster", instance, *cluster_flags, "--out", os.path.join(out, "clusters.json")])
     _run(cli, ["cluster", instance, "--flat", *cluster_flags, "--out", os.path.join(out, "clusters_flat.json")])
     for strategy in STRATEGIES:
@@ -249,6 +268,8 @@ def main(argv: list[str]) -> int:
     n, seed, cap = BOUND_FLEET
     cluster_flags = ("--max-cluster-size", str(cap))
     _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_mixed_cap{cap}"), n, seed, "mixed", cluster_flags=cluster_flags)
+    n, seed, east = ANTIMERIDIAN
+    _case(cli, os.path.join(argv[0], f"n{n}_s{seed}_lon180"), n, seed, "wide", east=east)
     _bench(cli, argv[0], "bench.csv")
     _bench(cli, argv[0], "bench_unfenced.csv", ("--no-budget",))
     return 0
